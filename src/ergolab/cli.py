@@ -89,10 +89,10 @@ def _cmd_involutions(args) -> None:
     triple = involutions.factor_three_involutions(sys_, args.height)
     payload = {
         "n": args.n,
-        "map": list(sys_.map),
-        "s1": list(triple.s1),
-        "s2": list(triple.s2),
-        "s3": list(triple.s3),
+        "map": sys_.map.tolist(),
+        "s1": triple.s1.tolist(),
+        "s2": triple.s2.tolist(),
+        "s3": triple.s3.tolist(),
         "verified": triple.verify(sys_.map),
     }
     _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")

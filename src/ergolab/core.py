@@ -4,6 +4,10 @@ The finite model of an invertible measure-preserving transformation is a
 bijection of n equal-mass atoms (each of mass 1/n). Aperiodicity and
 ergodicity are modelled by restricting tower constructions to single
 n-cycles; all measures are exact rationals.
+
+The bijection has one representation: a read-only int64 array with
+map[i] the image of atom i, composed in function order (see `perms`).
+Atom sets stay frozensets of Python ints.
 """
 
 from __future__ import annotations
@@ -18,36 +22,33 @@ from . import perms
 from .errors import Infeasible
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinitePermutationSystem:
-    """n atoms of mass 1/n permuted by a bijection `map`."""
+    """n atoms of mass 1/n permuted by a bijection `map`.
 
-    map: tuple[int, ...]
+    `map` is a read-only int64 array (see `perms`); any sequence of atom
+    indices is accepted and converted once. Equality is identity.
+    """
+
+    map: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.map)
-        n = arr.size
-        if n == 0:
-            raise ValueError("need at least one atom")
-        if arr.min() < 0 or arr.max() >= n or np.bincount(arr, minlength=n).max() > 1:
-            raise ValueError("map is not a bijection on {0..n-1}")
+        object.__setattr__(self, "map", perms.as_permutation(self.map))
 
     @property
     def n(self) -> int:
-        return len(self.map)
+        return self.map.size
 
-    def apply(self, i: int) -> int:
-        return self.map[i]
-
-    def is_single_cycle(self) -> bool:
-        return perms.is_single_cycle(self.map)
+    def walk(self) -> np.ndarray:
+        """Atoms in walk order from atom 0; ValueError unless `map` is a
+        single n-cycle."""
+        order = perms.cycle_order_from(self.map, 0)
+        if order.size != self.n:
+            raise ValueError("system must be a single n-cycle")
+        return order
 
     def image(self, s: "AtomSet") -> "AtomSet":
-        return AtomSet(frozenset(self.map[i] for i in s.members), self.n)
-
-    def preimage(self, s: "AtomSet") -> "AtomSet":
-        inv = perms.inverse(self.map)
-        return AtomSet(frozenset(inv[i] for i in s.members), self.n)
+        return AtomSet(frozenset(self.map[s.indices()].tolist()), self.n)
 
     def subset(self, members: Iterable[int]) -> "AtomSet":
         return AtomSet(frozenset(members), self.n)
@@ -57,14 +58,14 @@ class FinitePermutationSystem:
         """The standard n-cycle i -> i+1 mod n."""
         if n < 1:
             raise ValueError("n must be positive")
-        return FinitePermutationSystem(tuple((i + 1) % n for i in range(n)))
+        return FinitePermutationSystem(np.roll(np.arange(n), -1))
 
     @staticmethod
     def random_cycle(n: int, seed: int) -> "FinitePermutationSystem":
         order = np.random.default_rng(seed).permutation(n)
         p = np.empty(n, dtype=np.int64)
         p[order] = np.roll(order, -1)
-        return FinitePermutationSystem(tuple(p.tolist()))
+        return FinitePermutationSystem(p)
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,16 @@ class AtomSet:
     def __len__(self) -> int:
         return len(self.members)
 
+    def indices(self) -> np.ndarray:
+        """The members as an int64 array, in no particular order."""
+        return np.fromiter(self.members, dtype=np.int64, count=len(self.members))
+
+    def mask(self) -> np.ndarray:
+        """Boolean membership array over the n atoms."""
+        m = np.zeros(self.n, dtype=bool)
+        m[self.indices()] = True
+        return m
+
 
 @dataclass(frozen=True)
 class Tower:
@@ -106,19 +117,13 @@ class Tower:
 
 def validate_tower(sys: FinitePermutationSystem, tower: Tower) -> bool:
     """Levels and residual are pairwise disjoint and cover all atoms."""
-    seen: set[int] = set()
-    total = 0
-    for level in tower.levels(sys):
-        seen |= level.members
-        total += len(level)
-    seen |= tower.residual.members
-    total += len(tower.residual)
-    return total == sys.n and len(seen) == sys.n
-
-
-def _require_cycle(sys: FinitePermutationSystem) -> None:
-    if not sys.is_single_cycle():
-        raise ValueError("system must be a single n-cycle")
+    cover = np.zeros(sys.n, dtype=np.int64)
+    level = tower.base.indices()
+    for _ in range(tower.height):
+        cover[level] += 1  # a level is a set, so its indices are distinct
+        level = sys.map[level]
+    cover[tower.residual.indices()] += 1
+    return bool((cover == 1).all())
 
 
 def rokhlin_tower(sys: FinitePermutationSystem, h: int) -> Tower:
@@ -128,14 +133,13 @@ def rokhlin_tower(sys: FinitePermutationSystem, h: int) -> Tower:
     0, h, 2h, ... and the residual is the trailing n mod h positions.
     When n mod h <= 1 the residual additionally maps into the base under T.
     """
-    _require_cycle(sys)
+    order = sys.walk()
     n = sys.n
     if not 1 <= h <= n:
         raise ValueError(f"need 1 <= h <= n, got h={h}, n={n}")
-    order = perms.cycle_order_from(sys.map, 0)
-    q = n // h
-    base = frozenset(order[k * h] for k in range(q))
-    residual = frozenset(order[q * h:])
+    top = n // h * h
+    base = frozenset(order[:top:h].tolist())
+    residual = frozenset(order[top:].tolist())
     return Tower(AtomSet(base, n), h, AtomSet(residual, n))
 
 
@@ -144,23 +148,35 @@ def _arc_residual_search(y_pos: list[int], n: int, h: int) -> list[int] | None:
     into arcs of length divisible by h, or None if no subset works.
 
     Consecutive chosen positions (cyclically) must leave gaps divisible by h,
-    so each successor position is congruent to predecessor + 1 mod h.
+    so each successor position is congruent to predecessor + 1 mod h. The
+    depth-first search keeps its own stack: a chain can hold every position.
     """
     if n % h == 0:
         return []  # empty residual: the whole cycle splits into columns
     k = len(y_pos)
     dead: set[tuple[int, int]] = set()  # (closing residue, node) with no chain
 
-    def chain_from(cur: int, target: int) -> list[int] | None:
-        if y_pos[cur] % h == target:
-            return [cur]  # closing as early as possible is lexicographically first
-        for j in range(cur + 1, k):
-            if (y_pos[j] - y_pos[cur] - 1) % h != 0 or (target, j) in dead:
+    def chain_from(first: int, target: int) -> list[int] | None:
+        if y_pos[first] % h == target:
+            return [first]  # closing as early as possible is lexicographically first
+        path = [first]
+        tried = [first + 1]  # next successor to try, per path entry
+        while path:
+            cur, j = path[-1], tried[-1]
+            while j < k and (
+                (y_pos[j] - y_pos[cur] - 1) % h != 0 or (target, j) in dead
+            ):
+                j += 1
+            if j == k:
+                dead.add((target, cur))
+                path.pop()
+                tried.pop()
                 continue
-            sub = chain_from(j, target)
-            if sub is not None:
-                return [cur] + sub
-        dead.add((target, cur))
+            tried[-1] = j + 1
+            path.append(j)
+            if y_pos[j] % h == target:
+                return path
+            tried.append(j + 1)
         return None
 
     for first in range(k):
@@ -177,7 +193,7 @@ def lehrer_weiss_tower(sys: FinitePermutationSystem, h: int, y: AtomSet) -> Towe
     Finite-scale feasibility: some subset of y must cut the cycle into arcs
     of length divisible by h. Raises Infeasible when no subset does.
     """
-    _require_cycle(sys)
+    order = sys.walk()
     n = sys.n
     if not 1 <= h <= n:
         raise ValueError(f"need 1 <= h <= n, got h={h}, n={n}")
@@ -185,15 +201,12 @@ def lehrer_weiss_tower(sys: FinitePermutationSystem, h: int, y: AtomSet) -> Towe
         raise ValueError("target set y must be non-empty")
     if y.n != n:
         raise ValueError("y belongs to a different system")
-    order = perms.cycle_order_from(sys.map, 0)
-    pos_of = {atom: p for p, atom in enumerate(order)}
-    y_pos = sorted(pos_of[a] for a in y.members)
+    y_pos = np.sort(perms.inverse(order)[y.indices()]).tolist()
     chosen = _arc_residual_search(y_pos, n, h)
     if chosen is None:
         raise Infeasible(
             f"no subset of y cuts the {n}-cycle into arcs divisible by {h}"
         )
-    residual = frozenset(order[p] for p in chosen)
     if not chosen:
         base_pos: list[int] = list(range(0, n, h))
     else:
@@ -204,5 +217,6 @@ def lehrer_weiss_tower(sys: FinitePermutationSystem, h: int, y: AtomSet) -> Towe
             arc_len = (chosen[(i + 1) % m] - chosen[i] - 1) % n
             for off in range(0, arc_len, h):
                 base_pos.append((arc_start + off) % n)
-    base = frozenset(order[p] for p in base_pos)
+    base = frozenset(order[base_pos].tolist())
+    residual = frozenset(order[chosen].tolist())
     return Tower(AtomSet(base, n), h, AtomSet(residual, n))

@@ -15,14 +15,12 @@ then satisfies translate(translate(B, g), h) = translate(B, h*g).
 from __future__ import annotations
 
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import CapExceeded
+from .errors import CapExceeded, Infeasible
 
 GENERATORS = ("a", "b", "A", "B")
 ASSIGNMENT_CAP = 1 << 17
@@ -273,9 +271,12 @@ def search_best(
     """Seeded hill climbing over radius-L predicates under the ten constraints.
 
     Starts from the local-peak baseline; each restart consumes an equal share
-    of the budget with its own derived seed. The best member set wins by
-    measure, ties by lexicographically least assignment tuple, and the
-    returned certificate is re-verified from scratch.
+    of the budget with its own derived seed. Of the baseline and the climbs,
+    only non-empty sets that `verify_rokhlin_family` accepts are candidates;
+    the best wins by measure, ties by lexicographically least assignment
+    tuple, and the returned certificate is re-verified from scratch. Raises
+    Infeasible when no candidate remains (at radius 1 the baseline fails and
+    no single assignment avoids its own translates).
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -287,24 +288,23 @@ def search_best(
         raise ValueError("budget must be non-negative")
     base = local_peak(radius)
     window = base.window
-    best = set(base.assignments)
+    found = [set(base.assignments)]
     if budget > 0:
         n_restarts = max(1, restarts)
         share = budget // n_restarts
         master = random.Random(seed)
         seeds = [master.randrange(2 ** 32) for _ in range(n_restarts)]
-        workers = int(os.environ.get("ERGOLAB_THREADS", "1") or "1")
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda s: _climb(window, base.assignments, share, s), seeds
-                    )
-                )
-        else:
-            results = [_climb(window, base.assignments, share, s) for s in seeds]
-        # deterministic merge: largest measure, ties by least assignment tuple
-        best = min([best] + results, key=lambda p: (-len(p), tuple(sorted(p))))
+        found += [_climb(window, base.assignments, share, s) for s in seeds]
+    candidates = [
+        p for p in found
+        if p and verify_rokhlin_family(CylinderPatternSet(window, frozenset(p))).verdict
+    ]
+    if not candidates:
+        raise Infeasible(
+            f"no verified non-empty Rokhlin family at radius {radius}"
+        )
+    # deterministic merge: largest measure, ties by least assignment tuple
+    best = min(candidates, key=lambda p: (-len(p), tuple(sorted(p))))
     cert = verify_rokhlin_family(CylinderPatternSet(window, frozenset(best)))
     if not cert.verdict:
         raise AssertionError("search produced an unverifiable certificate")

@@ -21,7 +21,6 @@ left, so a triple (s1, s2, s3) represents x -> s1(s2(s3(x))).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,126 +28,115 @@ from . import perms
 from .core import FinitePermutationSystem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvolutionTriple:
-    """Three involutions with s1(s2(s3(x))) equal to the target map."""
+    """Three involutions with s1(s2(s3(x))) equal to the target map.
 
-    s1: tuple[int, ...]
-    s2: tuple[int, ...]
-    s3: tuple[int, ...]
+    Each field is a read-only int64 array (see `perms`); any sequences of
+    atom indices are accepted and converted once. Equality is identity.
+    """
 
-    def compose(self) -> list[int]:
+    s1: np.ndarray
+    s2: np.ndarray
+    s3: np.ndarray
+
+    def __post_init__(self):
+        for name in ("s1", "s2", "s3"):
+            object.__setattr__(self, name, perms.as_permutation(getattr(self, name)))
+        if not self.s1.size == self.s2.size == self.s3.size:
+            raise ValueError("the three involutions act on different atom counts")
+
+    def compose(self) -> np.ndarray:
         return perms.compose(self.s1, perms.compose(self.s2, self.s3))
 
-    def verify(self, target: Sequence[int]) -> bool:
-        n = len(target)
-        ident = np.arange(n)
-        a1, a2, a3 = (np.asarray(s) for s in (self.s1, self.s2, self.s3))
+    def verify(self, target: np.ndarray) -> bool:
         return (
-            bool((a1[a1] == ident).all())
-            and bool((a2[a2] == ident).all())
-            and bool((a3[a3] == ident).all())
-            and bool((a1[a2[a3]] == np.asarray(target)).all())
+            target.shape == self.s1.shape
+            and all(perms.is_involution(s) for s in (self.s1, self.s2, self.s3))
+            and bool((self.compose() == target).all())
         )
 
 
-def cycle_two_involutions(k: int) -> tuple[list[int], list[int]]:
+def cycle_two_involutions(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Reflections (S', S'') on {0..k-1} with S'(S''(i)) = i+1 mod k.
 
     S''(i) = -i mod k and S'(i) = 1-i mod k.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    s2 = [(-i) % k for i in range(k)]
-    s1 = [(1 - i) % k for i in range(k)]
-    return s1, s2
+    i = np.arange(k)
+    return (1 - i) % k, -i % k
 
 
-def _reflection_pair(p: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Involutions (r1, r2) with r1(r2(x)) = p(x), by per-cycle reversal."""
-    n = len(p)
-    r1 = list(range(n))
-    r2 = list(range(n))
-    for cyc in perms.cycles(p):
-        m = len(cyc)
-        for i, atom in enumerate(cyc):
-            r2[atom] = cyc[(-i) % m]
-            r1[atom] = cyc[(1 - i) % m]
-    return r1, r2
+def _reflections(cycles: np.ndarray, lengths: np.ndarray):
+    """Involutions (r1, r2) with r1(r2(x)) = P(x), by per-cycle reversal.
 
-
-def _reflection_pair_list(pl: list[int]) -> tuple[list[int], list[int]]:
-    """Per-cycle reversal pair for a list permutation, one pass."""
-    n = len(pl)
-    r1 = list(range(n))
-    r2 = list(range(n))
-    seen = bytearray(n)
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = 1
-        j = pl[start]
-        while j != start:
-            cyc.append(j)
-            seen[j] = 1
-            j = pl[j]
-        m = len(cyc)
-        for i in range(m):
-            atom = cyc[i]
-            r2[atom] = cyc[-i]
-            r1[atom] = cyc[(1 - i) % m]
+    `cycles` lists every atom once, cycle after cycle, each cycle in P's
+    order from its anchor; `lengths` gives the cycle lengths. Position i of
+    a cycle of length m goes to -i (r2) and 1-i (r1) mod m.
+    """
+    m = np.repeat(lengths, lengths)
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    i = np.arange(cycles.size) - start
+    r1 = np.empty_like(cycles)
+    r2 = np.empty_like(cycles)
+    r2[cycles] = cycles[start + -i % m]
+    r1[cycles] = cycles[start + (1 - i) % m]
     return r1, r2
 
 
 def _pipeline_parts(sys: FinitePermutationSystem, height: int):
     """Internal stages of the factorization: the correcting involution, the
-    two lifted base factors, their product, and the periodic part."""
+    two lifted base factors, their product, the periodic part, and the
+    cycles of the periodic part with their lengths (as `_reflections`
+    takes them)."""
     n = sys.n
-    walk = perms.cycle_order_from(sys.map, 0)
-    if len(walk) != n:
-        raise ValueError("system must be a single n-cycle")
-    t = np.asarray(sys.map)
-
+    order = sys.walk()
     h = min(height, n)
     q, r = divmod(n, h)
-    order = np.asarray(walk)
 
     # walk layout: q columns of h atoms; residual runs spread over the gaps,
     # the first r % q gaps getting one extra atom when r > q
-    run_len = [r // q + (1 if k < r % q else 0) for k in range(q)]
-    col_start = np.zeros(q, dtype=np.int64)
-    pos = 0
-    for k in range(q):
-        col_start[k] = pos
-        pos += h + run_len[k]
+    run_len = r // q + (np.arange(q) < r % q)
+    col_start = np.arange(q) * h + np.cumsum(run_len) - run_len
 
     # correcting involution: swap each run's last atom with its column top
     s = np.arange(n)
-    tops = order[col_start + h - 1]
-    for k in range(q):
-        if run_len[k] == 0:
-            continue
-        top = tops[k]
-        last = order[col_start[k] + h + run_len[k] - 1]
-        s[top], s[last] = s[last], s[top]
+    has_run = run_len > 0
+    tops = order[col_start[has_run] + h - 1]
+    lasts = order[col_start[has_run] + h + run_len[has_run] - 1]
+    s[tops] = lasts
+    s[lasts] = tops
 
     # base-cycle factors lifted to levels 0 and 1; the climb applies the
     # level-0 factor, then the level-1 factor, then the top hop, and the
-    # reversal pair composes back to the +1 column shift, so P^h = id on
-    # the tower whenever every residual run has length <= 1
+    # reversal pair composes back to the +1 column shift
     lift1, lift2 = cycle_two_involutions(q)
     d1 = np.arange(n)
     d2 = np.arange(n)
-    d1[order[col_start]] = order[col_start[np.asarray(lift1)]]
-    d2[order[col_start + 1]] = order[col_start[np.asarray(lift2)] + 1]
+    d1[order[col_start]] = order[col_start[lift1]]
+    d2[order[col_start + 1]] = order[col_start[lift2] + 1]
     big_s = s.copy()
     big_s[order[col_start]] = d1[order[col_start]]
     big_s[order[col_start + 1]] = d2[order[col_start + 1]]
 
     # periodic part P = T after S
-    p = t[big_s]
-    return s, d1, d2, big_s, p
+    p = perms.compose(sys.map, big_s)
+
+    # P's cycles, read off the layout: the cycle anchored at column k's base
+    # steps to level 1 of column lift1[k], climbs column lift2[lift1[k]] and
+    # hops back to column k's base; each residual run is one cycle, stepping
+    # along the walk and from its last atom back to its first
+    cols = np.empty((q, h), dtype=np.int64)
+    cols[:, 0] = np.arange(q)
+    cols[:, 1] = lift1
+    cols[:, 2:] = lift2[lift1][:, None]
+    column_pos = (col_start[cols] + np.arange(h)).ravel()
+    in_column = np.zeros(n, dtype=bool)
+    in_column[column_pos] = True
+    cycles = np.concatenate([order[column_pos], order[~in_column]])
+    lengths = np.concatenate([np.full(q, h), run_len])
+    return s, d1, d2, big_s, p, cycles, lengths
 
 
 def factor_three_involutions(
@@ -166,16 +154,12 @@ def factor_three_involutions(
     if n <= 2:
         if not perms.is_single_cycle(sys.map):
             raise ValueError("system must be a single n-cycle")
-        ident = tuple(range(n))
-        return InvolutionTriple(ident, ident, tuple(sys.map))
+        ident = np.arange(n)
+        return InvolutionTriple(ident, ident, sys.map)
 
-    _, _, _, big_s, p = _pipeline_parts(sys, height)
-    refl1, refl2 = _reflection_pair_list(p.tolist())
+    _, _, _, big_s, p, cycles, lengths = _pipeline_parts(sys, height)
+    refl1, refl2 = _reflections(cycles, lengths)
 
     # conjugate S by P so the correcting product sits leftmost in the triple
-    p_inv = np.empty(len(p), dtype=p.dtype)
-    p_inv[p] = np.arange(len(p))
-    s_first = p[big_s[p_inv]]
-    return InvolutionTriple(
-        tuple(s_first.tolist()), tuple(refl1), tuple(refl2)
-    )
+    s_first = perms.compose(p, perms.compose(big_s, perms.inverse(p)))
+    return InvolutionTriple(s_first, refl1, refl2)

@@ -1,105 +1,79 @@
-"""Small permutation toolkit on arrays of atom indices.
+"""Permutations of n atoms, in the one form ergolab uses for them.
 
-A permutation on n atoms is a sequence p of length n with p[i] = image of i.
-Composition follows function order: compose(f, g) applies g first.
+A permutation is a read-only np.int64 array p of length n with p[i] the
+image of atom i. Composition follows function order: compose(f, g) = f[g]
+applies g first. Every function here takes and returns that form; caller
+sequences enter it once, through `as_permutation`.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
-
-def is_permutation(p: Sequence[int]) -> bool:
-    n = len(p)
-    seen = bytearray(n)
-    for v in p:
-        if not 0 <= v < n or seen[v]:
-            return False
-        seen[v] = 1
-    return True
+import numpy as np
 
 
-def identity(n: int) -> list[int]:
-    return list(range(n))
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def compose(f: Sequence[int], g: Sequence[int]) -> list[int]:
+def as_permutation(p: Sequence[int] | np.ndarray) -> np.ndarray:
+    """A read-only int64 copy of p; ValueError unless p is a bijection of
+    {0..n-1} with n >= 1."""
+    arr = np.asarray(p)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("need at least one atom")
+    n = arr.size
+    if (
+        arr.dtype.kind not in "iu"
+        or arr.min() < 0
+        or arr.max() >= n
+        or np.bincount(arr, minlength=n).max() > 1
+    ):
+        raise ValueError("map is not a bijection on {0..n-1}")
+    return _frozen(arr.astype(np.int64))
+
+
+def compose(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """f after g: (f*g)(i) = f(g(i))."""
-    return [f[g[i]] for i in range(len(g))]
+    return _frozen(f[g])
 
 
-def inverse(p: Sequence[int]) -> list[int]:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return inv
+def inverse(p: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(p)
+    inv[p] = np.arange(p.size)
+    return _frozen(inv)
 
 
-def cycles(p: Sequence[int]) -> list[list[int]]:
-    """Disjoint cycle decomposition; each cycle starts at its smallest atom."""
-    n = len(p)
-    seen = bytearray(n)
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = 1
-        j = p[start]
-        while j != start:
-            cyc.append(j)
-            seen[j] = 1
-            j = p[j]
-        out.append(cyc)
-    return out
+def power(p: np.ndarray, k: int) -> np.ndarray:
+    """p^k for any integer k, by repeated squaring."""
+    step = p if k >= 0 else inverse(p)
+    k = abs(k)
+    out = np.arange(p.size)
+    while k:
+        if k & 1:
+            out = step[out]
+        k >>= 1
+        if k:
+            step = step[step]
+    return _frozen(out)
 
 
-def power(p: Sequence[int], k: int) -> list[int]:
-    """p^k for any integer k, via cycle decomposition (handles negative k)."""
-    n = len(p)
-    out = [0] * n
-    for cyc in cycles(p):
-        m = len(cyc)
-        shift = k % m
-        for pos, atom in enumerate(cyc):
-            out[atom] = cyc[(pos + shift) % m]
-    return out
+def is_involution(p: np.ndarray) -> bool:
+    return bool((p[p] == np.arange(p.size)).all())
 
 
-def is_involution(p: Sequence[int]) -> bool:
-    return all(p[p[i]] == i for i in range(len(p)))
-
-
-def is_single_cycle(p: Sequence[int]) -> bool:
-    n = len(p)
-    if n == 0:
-        return False
-    count = 1
-    j = p[0]
-    while j != 0:
-        count += 1
-        if count > n:
-            return False
-        j = p[j]
-    return count == n
-
-
-def random_cycle(n: int, seed: int) -> list[int]:
-    """A uniformly random single n-cycle, deterministic in the seed."""
-    order = list(range(n))
-    random.Random(seed).shuffle(order)
-    p = [0] * n
-    for i in range(n):
-        p[order[i]] = order[(i + 1) % n]
-    return p
-
-
-def cycle_order_from(p: Sequence[int], start: int = 0) -> list[int]:
+def cycle_order_from(p: np.ndarray, start: int = 0) -> np.ndarray:
     """Orbit of `start` in iteration order; the full cycle for cyclic p."""
+    pl = p.tolist()  # one list copy: a Python walk is faster than pointer doubling
     out = [start]
-    j = p[start]
+    j = pl[start]
     while j != start:
         out.append(j)
-        j = p[j]
-    return out
+        j = pl[j]
+    return _frozen(np.fromiter(out, dtype=np.int64, count=len(out)))
+
+
+def is_single_cycle(p: np.ndarray) -> bool:
+    return cycle_order_from(p, 0).size == p.size

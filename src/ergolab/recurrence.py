@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import perms
 from .core import AtomSet, FinitePermutationSystem
@@ -40,12 +42,28 @@ def triple_intersection(
     """Exact mu(A intersect T^i A1 intersect T^2i A2)."""
     _check_sets(sys, a, a1, a2)
     back = perms.power(sys.map, -i)
-    count = 0
-    for x in a.members:
-        y = back[x]
-        if y in a1.members and back[y] in a2.members:
-            count += 1
-    return Fraction(count, sys.n)
+    y = back[a.indices()]
+    count = np.count_nonzero(a1.mask()[y] & a2.mask()[back[y]])
+    return Fraction(int(count), sys.n)
+
+
+def _triple_counts(
+    sys: FinitePermutationSystem,
+    a: AtomSet,
+    a1: AtomSet,
+    a2: AtomSet,
+    n_horizon: int,
+) -> Iterator[int]:
+    """n * mu(A intersect T^i A1 intersect T^2i A2) for i = 1..n_horizon,
+    following T^-i x and T^-2i x for the atoms x of A only."""
+    _check_sets(sys, a, a1, a2)
+    back = perms.inverse(sys.map)
+    in1, in2 = a1.mask(), a2.mask()
+    y = z = a.indices()
+    for _ in range(n_horizon):
+        y = back[y]
+        z = back[back[z]]
+        yield int(np.count_nonzero(in1[y] & in2[z]))
 
 
 def furstenberg_average(
@@ -58,16 +76,7 @@ def furstenberg_average(
     """(1/N) * sum_{i=1..N} mu(A intersect T^i A1 intersect T^2i A2)."""
     if n_horizon < 1:
         raise ValueError("horizon must be at least 1")
-    _check_sets(sys, a, a1, a2)
-    back = perms.inverse(sys.map)
-    cur = list(range(sys.n))  # T^-i as an array, advanced incrementally
-    total = 0
-    for _ in range(n_horizon):
-        cur = perms.compose(back, cur)
-        for x in a.members:
-            y = cur[x]
-            if y in a1.members and cur[y] in a2.members:
-                total += 1
+    total = sum(_triple_counts(sys, a, a1, a2, n_horizon))
     value = Fraction(total, sys.n * n_horizon)
     product = a.measure * a1.measure * a2.measure
     return TripleAverage(n_horizon, value, product)
@@ -79,57 +88,8 @@ def roth_witness(
     """Least i in [1, i_max] with mu(A intersect T^i A intersect T^2i A) > 0."""
     if a.measure == 0:
         raise ValueError("witness requires a set of positive measure")
-    back = perms.inverse(sys.map)
-    cur = list(range(sys.n))
-    for i in range(1, i_max + 1):
-        cur = perms.compose(back, cur)
-        for x in a.members:
-            y = cur[x]
-            if y in a.members and cur[y] in a.members:
-                return i
-    return None
-
-
-def joining_estimate(
-    sys: FinitePermutationSystem,
-    times: Sequence[int],
-    a: AtomSet,
-    a1: AtomSet,
-    a2: AtomSet,
-) -> Fraction:
-    """Average triple intersection along an arbitrary time subsequence."""
-    if not times:
-        raise ValueError("times must be non-empty")
-    total = sum(triple_intersection(sys, a, a1, a2, i) for i in times)
-    return total / len(times)
-
-
-def mix2_profile(
-    sys: FinitePermutationSystem,
-    a: AtomSet,
-    a1: AtomSet,
-    a2: AtomSet,
-    pairs: Sequence[tuple[int, int]],
-) -> list[tuple[int, int, Fraction]]:
-    """Exact mu(A intersect T^i A1 intersect T^j A2) for each (i, j)."""
-    _check_sets(sys, a, a1, a2)
-    out = []
-    for i, j in pairs:
-        back_i = perms.power(sys.map, -i)
-        back_j = perms.power(sys.map, -j)
-        count = 0
-        for x in a.members:
-            if back_i[x] in a1.members and back_j[x] in a2.members:
-                count += 1
-        out.append((i, j, Fraction(count, sys.n)))
-    return out
-
-
-def profile_csv(rows: Sequence[tuple[int, int, Fraction]]) -> str:
-    lines = ["i,j,numerator,denominator"]
-    for i, j, v in rows:
-        lines.append(f"{i},{j},{v.numerator},{v.denominator}")
-    return "\n".join(lines) + "\n"
+    counts = _triple_counts(sys, a, a, a, i_max)
+    return next((i for i, c in enumerate(counts, start=1) if c), None)
 
 
 def series_csv(rows: Sequence[tuple[int, Fraction]]) -> str:

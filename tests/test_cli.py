@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ergolab.cli import main
@@ -33,9 +34,15 @@ def test_tower_prescribed_roof(tmp_path):
 
 def test_involutions_command(tmp_path):
     out = tmp_path / "inv.json"
-    assert run(["involutions", "--n", "100", "--seed", "5", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["verified"] is True
+    for argv in (["--n", "100", "--seed", "5"], ["--n", "25"]):
+        assert run(["involutions"] + argv + ["--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["verified"] is True
+        s1, s2, s3 = (np.array(payload[k]) for k in ("s1", "s2", "s3"))
+        ident = np.arange(payload["n"])
+        for s in (s1, s2, s3):
+            assert (s[s] == ident).all()
+        assert (s1[s2[s3]] == np.array(payload["map"])).all()
 
 
 def test_rankone_correlate_contains_halving_entry(tmp_path):
@@ -163,6 +170,15 @@ def test_f2_commands(tmp_path):
     assert run(["f2", "verify", "--radius", "2", "--out", str(base)]) == 0
     payload = json.loads(base.read_text())
     assert payload["measure"] == {"num": 1, "den": 131072}
+
+
+def test_f2_search_at_radius_one_is_a_domain_error(tmp_path, capsys):
+    for budget in ("0", "500"):
+        out = tmp_path / f"r1_{budget}.json"
+        assert run(["f2", "search", "--radius", "1", "--budget", budget, "--seed", "3",
+                    "--out", str(out)]) == 1
+        assert "at radius 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_usage_errors_exit_2(capsys):

@@ -30,7 +30,7 @@ def test_rokhlin_examples():
     t = core.rokhlin_tower(sys_, 11)
     assert sorted(t.base.members) == [0]
     assert sorted(t.residual.members) == [11]
-    assert sys_.apply(11) in t.base.members  # roof returns to the base
+    assert sys_.map[11] in t.base.members  # roof returns to the base
     assert core.validate_tower(sys_, t)
 
     sys_ = FinitePermutationSystem.cycle(10)
@@ -85,6 +85,16 @@ def test_lehrer_weiss_empty_roof_when_divisible():
     t = core.lehrer_weiss_tower(sys_, 3, sys_.subset([5]))
     assert len(t.residual) == 0
     assert core.validate_tower(sys_, t)
+
+
+def test_lehrer_weiss_chains_through_every_atom():
+    # the roof chain holds n//2 positions, beyond Python's recursion limit
+    for n in (1999, 3999):
+        sys_ = FinitePermutationSystem.cycle(n)
+        h = n // 2 + 1
+        t = core.lehrer_weiss_tower(sys_, h, sys_.subset(range(n)))
+        assert core.validate_tower(sys_, t)
+        assert len(t.base) == 1 and len(t.residual) == n - h
 
 
 def test_lehrer_weiss_requires_nonempty_target():

@@ -49,11 +49,23 @@ def test_triple_intersection_examples():
     assert rec.triple_intersection(z9, a, b, c, 9) == Fraction(0)
 
 
+def rotation_pair_system(n1, n2):
+    """The rotations of Z/n1 and Z/n2 acting together on pairs
+    x = (x // n2, x % n2); a single cycle exactly when gcd(n1, n2) = 1."""
+    return FinitePermutationSystem(
+        [((x // n2 + 1) % n1) * n2 + (x % n2 + 1) % n2 for x in range(n1 * n2)]
+    )
+
+
 def test_triple_intersection_matches_brute_force():
     rng = random.Random(4242)
     cases = 0
-    for n in list(range(1, 26)) + [97, 128, 200]:
-        sys_ = random_system(n, seed=n * 3 + 1, cyclic=(n % 2 == 0))
+    systems = [
+        random_system(n, seed=n * 3 + 1, cyclic=(n % 2 == 0))
+        for n in list(range(1, 26)) + [97, 128, 200]
+    ] + [rotation_pair_system(4, 5), rotation_pair_system(4, 6)]
+    for sys_ in systems:
+        n = sys_.n
         for _ in range(2 if n <= 25 else 4):
             seed = rng.randrange(10**9)
             a = sys_.subset(random_subset(n, seed))
@@ -115,60 +127,6 @@ def test_roth_witness_minimality():
         assert w is not None
         for i in range(1, w):
             assert rec.triple_intersection(sys_, a, a, a, i) == 0
-
-
-def test_joining_estimate():
-    z6 = FinitePermutationSystem.cycle(6)
-    a = z6.subset([0, 3])
-    b = z6.subset([1, 2])
-    c = z6.subset([0, 1])
-    assert rec.joining_estimate(z6, [0], a, b, c) == rec.triple_intersection(
-        z6, a, b, c, 0
-    )
-    times = list(range(1, 7))
-    assert rec.joining_estimate(z6, times, a, b, c) == rec.furstenberg_average(
-        z6, a, b, c, 6
-    ).value
-    with pytest.raises(ValueError):
-        rec.joining_estimate(z6, [], a, b, c)
-
-
-def test_mix2_profile_reductions():
-    z8 = FinitePermutationSystem.cycle(8)
-    a = z8.subset([0, 1, 2])
-    a1 = z8.subset([2, 3])
-    a2 = z8.subset([3, 4, 5])
-    rows = rec.mix2_profile(z8, a, a1, a2, [(0, 0), (2, 2), (1, 3)])
-    assert rows[0][2] == rec.triple_intersection(z8, a, a1, a2, 0)
-    # i = j reduces to the two-set case through the intersection
-    inter = z8.subset([3])
-    two_set = sum(
-        1
-        for x in a.members
-        if (x - 2) % 8 in inter.members
-    )
-    assert rows[1][2] == Fraction(two_set, 8)
-
-
-def test_mix2_product_system_against_brute():
-    # product of two rotations realized as a single permutation on pairs
-    n1, n2 = 4, 5
-    n = n1 * n2
-    mapping = tuple(((x // n2 + 1) % n1) * n2 + (x % n2 + 1) % n2 for x in range(n))
-    sys_ = FinitePermutationSystem(mapping)
-    a = sys_.subset([x for x in range(n) if x % n2 == 0])
-    a1 = sys_.subset([x for x in range(n) if x // n2 == 1])
-    a2 = sys_.subset(random_subset(n, 77))
-    for pair in [(1, 2), (3, 7), (0, 4)]:
-        i, j = pair
-        count = 0
-        for x in range(n):
-            xi = ((x // n2 - i) % n1) * n2 + (x % n2 - i) % n2
-            xj = ((x // n2 - j) % n1) * n2 + (x % n2 - j) % n2
-            if x in a.members and xi in a1.members and xj in a2.members:
-                count += 1
-        got = rec.mix2_profile(sys_, a, a1, a2, [pair])[0][2]
-        assert got == Fraction(count, n)
 
 
 def test_shift_invariance_of_triple_terms():
