@@ -133,10 +133,9 @@ def _cmd_rankone_design(args) -> None:
 def _cmd_rankone_correlate(args) -> None:
     spec, _ = _rankone_spec(args)
     a = _parse_level_set(args.a, spec, args.stage)
-    if args.spacers == "auto":
-        # designed stages pin the interval heights; deeper stages continue
-        # with the minimal sparse growth so the horizon is certifiable
-        spec = r1.extend_spec(spec, a, args.n_max)
+    # given or designed stages pin the heights; deeper stages continue with
+    # the minimal sparse growth so the horizon is certifiable
+    spec = r1.extend_spec(spec, a, args.n_max)
     series = r1.correlation_series(spec, a, args.n_max)
     _write_text(args.out, series.to_csv())
 

@@ -9,9 +9,11 @@ have width 1) and the total mass grows without bound when the spacers do.
 Sets of finite measure are unions of levels of some stage. A stage-j level
 splits into levels l and l+h_j of stage j+1, so a level-index set S evolves
 as S -> S + (S + h_j), and the transformation acts as index +1 within any
-stage tower. Correlations mu(T^n A intersect A) are obtained exactly by
-counting index pairs at a deep enough stage; values whose orbit would leave
-the working tower are flagged Unstable rather than approximated.
+stage tower. Correlations mu(T^n A intersect A) are exact level-pair counts
+at a deep enough stage: with D_j(d) the number of pairs of S at stage j that
+differ by d, S and S + h_j are disjoint and S lies in [0, h_j), so
+D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|). Values whose orbit would leave the
+working tower are flagged Unstable rather than approximated.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DesignError
 
@@ -87,29 +91,25 @@ class LevelSet:
         return len(self.levels) * level_width(self.stage)
 
 
-@dataclass(frozen=True)
-class TowerStage:
-    """Geometry of the stage-j tower: level widths and spacer provenance."""
-
-    stage: int
-    height: int
-    width: Fraction
-    spacer_levels: frozenset[int]
-
-    @property
-    def total_mass(self) -> Fraction:
-        return self.height * self.width
+def _check_levels(hs: list[int], a: LevelSet) -> None:
+    """Reject `a` unless it is a set of levels of its own stage tower and
+    that stage is not deeper than the working stage len(hs)."""
+    if a.stage > len(hs):
+        raise ValueError("working stage is shallower than the set's stage")
+    if a.levels and max(a.levels) >= hs[a.stage - 1]:
+        raise ValueError("level index outside its stage tower")
+    if any(l < 0 for l in a.levels):
+        raise ValueError("negative level index")
 
 
-def stage_geometry(spec: RankOneSpec, stage: int) -> TowerStage:
-    hs = heights(spec, stage)
-    spacers: set[int] = set()
-    for j in range(stage - 1):
-        h = hs[j]
-        spacers = spacers | {x + h for x in spacers} | set(
-            range(2 * h, 2 * h + spec.spacers[j])
-        )
-    return TowerStage(stage, hs[-1], level_width(stage), frozenset(spacers))
+def _top_level(hs: list[int], a: LevelSet) -> int:
+    """Highest level index of `a` in the stage-j tower, j = len(hs), or 0
+    when `a` is empty: a stage-i level l has its highest copy at
+    l + h_i + ... + h_{j-1}."""
+    _check_levels(hs, a)
+    if not a.levels:
+        return 0
+    return max(a.levels) + sum(hs[a.stage - 1 : -1])
 
 
 def propagate_levels(
@@ -117,12 +117,7 @@ def propagate_levels(
 ) -> frozenset[int]:
     """Level indices of `a` inside the stage-`stage` tower."""
     hs = heights(spec, stage)
-    if a.stage > stage:
-        raise ValueError("working stage is shallower than the set's stage")
-    if a.levels and max(a.levels) >= hs[a.stage - 1]:
-        raise ValueError("level index outside its stage tower")
-    if any(l < 0 for l in a.levels):
-        raise ValueError("negative level index")
+    _check_levels(hs, a)
     s = set(a.levels)
     for j in range(a.stage - 1, stage - 1):
         s |= {x + hs[j] for x in s}
@@ -164,8 +159,8 @@ def extend_spec(spec: RankOneSpec, a: LevelSet, n_max: int) -> RankOneSpec:
     """Append minimal sparse spacers (s_j = h_j) until times up to n_max are
     certifiable for the level set `a`; existing stages are unchanged."""
     spacers = list(spec.spacers)
-    hs = heights(spec, spec.max_stage)
-    top = max(propagate_levels(spec, a, max(a.stage, spec.max_stage)), default=0)
+    hs = heights(spec, max(a.stage, spec.max_stage))
+    top = _top_level(hs, a)
     while hs[-1] - top <= n_max or spec.max_stage == a.stage:
         spacers.append(hs[-1])
         spec = RankOneSpec(spec.h1, tuple(spacers))
@@ -180,8 +175,7 @@ def min_exact_stage(spec: RankOneSpec, a: LevelSet, n_max: int) -> int:
     """Smallest working stage at which all times up to n_max are certified."""
     for stage in range(a.stage + 1, spec.max_stage + 1):
         hs = heights(spec, stage)
-        top = max(propagate_levels(spec, a, stage), default=0)
-        if hs[-1] - top > n_max:
+        if hs[-1] - _top_level(hs, a) > n_max:
             return stage
     raise ValueError(
         f"spec too shallow to certify all times up to {n_max}; "
@@ -210,29 +204,79 @@ def correlation_series(
 ) -> CorrelationSeries:
     """All correlations for n in [0, n_max] at a certifying working stage.
 
-    Computed from the pair-difference multiset of the level-index set, which
-    is exact once the working stage is deep enough that no orbit of A leaves
-    the tower within n_max steps. With `stage=None` that stage is found by
-    `min_exact_stage`, so the spec must already be deep enough for n_max
+    The value at n is D(n) times the level width, where D(d) counts the
+    pairs of levels of A that differ by d. It is exact once no orbit of A
+    leaves the tower within n_max steps. From the first such stage on, D
+    only doubles on [0, n_max] while the width halves, so every deeper
+    working stage gives the same series, and D is taken at that first one.
+    It is built from A's own levels by D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|)
+    on an int64 array as long as the difference span; when the grown set is
+    small next to that span, its pairs are counted directly instead. Counts
+    are at most the square of the tower height, so int64 is exact for any
+    array that fits in memory. With `stage=None` the working stage is found
+    by `min_exact_stage`, so the spec must already be deep enough for n_max
     (continue a designed spec with `extend_spec` first).
     """
     if stage is None:
         stage = min_exact_stage(spec, a, n_max)
     hs = heights(spec, stage)
-    levels = sorted(propagate_levels(spec, a, stage))
-    if levels and hs[-1] - levels[-1] <= n_max:
+    top = _top_level(hs, a)
+    if a.levels and hs[-1] - top <= n_max:
         raise ValueError("working stage too shallow for exact series")
-    w = level_width(stage)
-    counts: dict[int, int] = {}
-    for l in levels:
-        for m in levels:
-            if m >= l:
-                d = m - l
-                counts[d] = counts.get(d, 0) + 1
-    entries = tuple(
-        (n, counts.get(n, 0) * w) for n in range(n_max + 1)
+    counts = np.zeros(max(n_max + 1, 0), dtype=np.int64)
+    first = a.stage  # the first certifying stage; deeper ones give the same values
+    if a.levels and n_max >= 0:
+        while hs[first - 1] - _top_level(hs[:first], a) <= n_max:
+            first += 1
+        d = _grown_differences(
+            np.array(sorted(a.levels), dtype=np.int64), hs[a.stage - 1 : first - 1], n_max
+        )[: n_max + 1]
+        counts[: len(d)] = d
+    # one shared Fraction per distinct count, not one product per n
+    distinct, index = np.unique(counts, return_inverse=True)
+    w = level_width(first)
+    shared = [c * w for c in distinct.tolist()]
+    return CorrelationSeries(
+        tuple(zip(range(n_max + 1), map(shared.__getitem__, index.tolist())))
     )
-    return CorrelationSeries(entries)
+
+
+# differences held at once while counting level pairs
+_PAIR_BLOCK = 1 << 20
+
+
+def _pair_differences(s: np.ndarray, length: int) -> np.ndarray:
+    """counts[d] = #{(l, m) in S x S : m - l = d} for 0 <= d < length, over
+    the sorted distinct levels `s`, counted in row blocks so that no
+    |S| x |S| matrix is built."""
+    counts = np.zeros(length, dtype=np.int64)
+    rows = max(1, max(_PAIR_BLOCK, length) // len(s))
+    for i in range(0, len(s), rows):
+        diffs = s[i:] - s[i : i + rows, None]
+        counts += np.bincount(diffs[(diffs >= 0) & (diffs < length)], minlength=length)
+    return counts
+
+
+def _grown_differences(s: np.ndarray, steps: Sequence[int], n_max: int) -> np.ndarray:
+    """Difference counts, at least those for d <= n_max, of the set grown
+    from the sorted levels `s` by S -> S + (S + h) for each height h in
+    `steps`. The recursion costs one array pass per step over the span of
+    the grown set; counting the grown set's pairs costs its size squared,
+    and is used when that is the smaller."""
+    span = int(s[-1] - s[0]) + sum(steps)
+    if span <= (len(s) << len(steps)) ** 2:
+        d = _pair_differences(s, int(s[-1] - s[0]) + 1)
+        for h in steps:
+            # S and S + h are disjoint and S lies in [0, h), so h > span
+            grown = np.zeros(len(d) + h, dtype=np.int64)
+            grown[: len(d)] = 2 * d
+            grown[h:] += d
+            grown[h - len(d) + 1 : h] += d[:0:-1]
+            d = grown
+        return d
+    for h in steps:
+        s = np.concatenate([s, s + h])
+    return _pair_differences(s, min(n_max, span) + 1)
 
 
 @dataclass(frozen=True)

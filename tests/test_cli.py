@@ -63,6 +63,32 @@ def test_rankone_correlate_contains_halving_entry(tmp_path):
     assert Fraction(*by_n[0]) == Fraction(1, 2)
 
 
+def test_rankone_correlate_continues_explicit_spacers(tmp_path):
+    # spacers 1, 1 are too shallow for n <= 100; the construction continues
+    # with s_j = h_j, as it does after designed spacers
+    out = tmp_path / "corr.csv"
+    assert run(
+        [
+            "rankone", "correlate", "--h1", "1", "--spacers", "1,1",
+            "--A", "2:0", "--n-max", "100", "--out", str(out),
+        ]
+    ) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(101))
+    spacers = [1, 1]
+    hs, levels = [1, 3], np.array([0])  # A is level 0 of stage 2
+    while hs[-1] - levels.max() <= 100:
+        levels = np.concatenate([levels, levels + hs[-1]])
+        s = spacers[len(hs) - 1] if len(hs) <= len(spacers) else hs[-1]
+        hs.append(2 * hs[-1] + s)
+    stage = len(hs)
+    diffs = np.subtract.outer(levels, levels).ravel()
+    counts = np.bincount(diffs[diffs >= 0], minlength=101)
+    expected = [Fraction(int(c), 2 ** (stage - 1)) for c in counts[:101]]
+    assert [Fraction(int(r[1]), int(r[2])) for r in rows] == expected
+    assert expected[3] == Fraction(1, 4)  # half of mu(A) at h_2 = 3
+
+
 def test_rankone_design_and_decompose(tmp_path):
     out = tmp_path / "design.json"
     intervals = ",".join(f"{10**j}:{2 * 10**j}" for j in range(2, 7))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -114,6 +115,77 @@ def test_correlation_series_matches_pointwise():
     assert csv.splitlines()[1] == f"0,{a.measure().numerator},{a.measure().denominator}"
 
 
+def series_oracle(spec, a, n_max, stage):
+    """Correlation series from the occupancy mask, one shift per n."""
+    return [correlation_oracle(spec, a, n, stage) for n in range(n_max + 1)]
+
+
+def test_series_matches_occupancy_oracle_on_random_specs():
+    rng = random.Random(20210405)
+    covered = set()
+    for _ in range(60):
+        h1 = rng.randint(1, 4)
+        hs, spacers = [h1], []
+        for _ in range(rng.randint(1, 4)):
+            # zero spacers (stages that add no gap) among growing ones
+            spacers.append(rng.choice([0, 0, 1, rng.randint(0, 3 * hs[-1])]))
+            hs.append(2 * hs[-1] + spacers[-1])
+        a_stage = rng.randint(1, len(hs))
+        size = rng.randint(1, min(6, hs[a_stage - 1]))
+        a = r1.LevelSet(a_stage, frozenset(rng.sample(range(hs[a_stage - 1]), size)))
+        n_max = rng.randint(0, 80)
+        # continued past the certifying stage, so deeper stages exist
+        spec = r1.extend_spec(r1.RankOneSpec(h1, tuple(spacers)), a, 4 * n_max + 9)
+        stage = r1.min_exact_stage(spec, a, n_max)
+        series = r1.correlation_series(spec, a, n_max)
+        assert [n for n, _ in series.entries] == list(range(n_max + 1))
+        assert all(type(v) is Fraction for _, v in series.entries)
+        assert [v for _, v in series.entries] == series_oracle(spec, a, n_max, stage)
+        for deeper in range(stage + 1, spec.max_stage + 1):
+            assert r1.correlation_series(spec, a, n_max, stage=deeper) == series
+            covered.add("deeper")
+        top = max(a.levels) + sum(r1.heights(spec, stage)[a_stage - 1 : -1])
+        if top - min(a.levels) < n_max:
+            covered.add("past the largest difference")
+        # the set's own stage certifies times below its distance to the top
+        own = r1.heights(spec, a_stage)[-1] - max(a.levels) - 1
+        got = r1.correlation_series(spec, a, own, stage=a_stage)
+        assert [v for _, v in got.entries] == series_oracle(spec, a, own, a_stage)
+        if own > max(a.levels) - min(a.levels):
+            covered.add("own stage past the largest difference")
+        covered.add("zero spacer" if 0 in spacers else "growth only")
+    assert covered == {
+        "deeper", "past the largest difference",
+        "own stage past the largest difference", "zero spacer", "growth only",
+    }
+
+
+def test_series_of_a_large_base_set_matches_oracle():
+    spec = geometric_spec(6, h1=1000)
+    assert r1.heights(spec, 2) == [1000, 3000]
+    rng = random.Random(7)
+    a = r1.LevelSet(2, frozenset(rng.sample(range(2999), 399)) | {2999})
+    assert len(a.levels) == 400
+    n_max = 1500
+    stage = r1.min_exact_stage(spec, a, n_max)
+    series = r1.correlation_series(spec, a, n_max)
+    assert all(type(v) is Fraction for _, v in series.entries)
+    assert [v for _, v in series.entries] == series_oracle(spec, a, n_max, stage)
+    assert r1.correlation_series(spec, a, n_max, stage=stage + 2) == series
+
+
+def test_series_with_levels_far_apart_in_a_tall_tower():
+    # the difference span is about 10^12 while the stage-2 set has 4 levels
+    h = 10**12
+    spec = r1.RankOneSpec(h, (h, h))
+    a = r1.LevelSet(1, frozenset([h - 2, h - 1]))
+    series = r1.correlation_series(spec, a, 5)
+    assert r1.min_exact_stage(spec, a, 5) == 2
+    for n in range(6):
+        assert series.value(n) == r1.correlation(spec, a, n, 2), n
+    assert [v for _, v in series.entries] == [2, 1, 0, 0, 0, 0]
+
+
 def test_correlation_unstable_without_spacers():
     # no spacers: every level stays occupied, counts never settle
     spec = r1.RankOneSpec(1, (0,) * 10)
@@ -128,20 +200,6 @@ def test_correlation_time_out_of_range():
         r1.correlation(spec, a, r1.heights(spec, 4)[-1] + 1, 4)
     with pytest.raises(ValueError):
         r1.correlation(spec, a, -1, 4)
-
-
-def test_stage_geometry():
-    spec = geometric_spec(4)
-    g1 = r1.stage_geometry(spec, 1)
-    assert g1.height == 1 and g1.width == 1 and not g1.spacer_levels
-    g2 = r1.stage_geometry(spec, 2)
-    assert g2.height == 3 and g2.width == Fraction(1, 2)
-    assert g2.spacer_levels == frozenset([2])
-    g3 = r1.stage_geometry(spec, 3)
-    assert g3.height == 9
-    # left/right copies of the stage-2 spacer plus the new block of three
-    assert g3.spacer_levels == frozenset([2, 5, 6, 7, 8])
-    assert g3.total_mass > g2.total_mass > g1.total_mass
 
 
 def exhaustive_signed_sums(hs, max_terms):
