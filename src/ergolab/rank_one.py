@@ -5,6 +5,9 @@ stage cuts the tower into two equal columns, stacks the right column on the
 left one, and adds s_j spacer levels above the right column, so heights obey
 h_{j+1} = 2*h_j + s_j. Stage-j levels have width 2^(1-j) (stage-1 levels
 have width 1) and the total mass grows without bound when the spacers do.
+A spec is the infinite construction: its explicit spacers are a prefix, and
+past them it continues with the sparse tail s_j = h_j, so every stage
+exists; `max_stage` counts the explicit stages only.
 
 Sets of finite measure are unions of levels of some stage. A stage-j level
 splits into levels l and l+h_j of stage j+1, so a level-index set S evolves
@@ -46,7 +49,8 @@ UNSTABLE = Unstable()
 
 @dataclass(frozen=True)
 class RankOneSpec:
-    """Construction parameters: initial height and per-stage spacer counts."""
+    """Construction parameters: initial height and the explicit spacer
+    prefix, continued by s_j = h_j."""
 
     h1: int
     spacers: tuple[int, ...]
@@ -59,20 +63,18 @@ class RankOneSpec:
 
     @property
     def max_stage(self) -> int:
+        """The deepest stage the explicit spacers determine."""
         return len(self.spacers) + 1
 
 
 def heights(spec: RankOneSpec, stages: int) -> list[int]:
-    """Heights h_1..h_stages under h_{j+1} = 2*h_j + s_j."""
+    """Heights h_1..h_stages under h_{j+1} = 2*h_j + s_j, with s_j = h_j
+    past the explicit spacers."""
     if stages < 1:
         raise ValueError("stage count must be positive")
-    if stages > spec.max_stage:
-        raise ValueError(
-            f"spec provides {len(spec.spacers)} spacers, not enough for stage {stages}"
-        )
     hs = [spec.h1]
     for j in range(stages - 1):
-        hs.append(2 * hs[-1] + spec.spacers[j])
+        hs.append(2 * hs[-1] + (spec.spacers[j] if j < len(spec.spacers) else hs[-1]))
     return hs
 
 
@@ -86,6 +88,10 @@ class LevelSet:
 
     stage: int
     levels: frozenset[int]
+
+    def __post_init__(self):
+        if self.stage < 1:
+            raise ValueError("level-set stage must be positive")
 
     def measure(self) -> Fraction:
         return len(self.levels) * level_width(self.stage)
@@ -112,16 +118,20 @@ def _top_level(hs: list[int], a: LevelSet) -> int:
     return max(a.levels) + sum(hs[a.stage - 1 : -1])
 
 
-def propagate_levels(
-    spec: RankOneSpec, a: LevelSet, stage: int
-) -> frozenset[int]:
-    """Level indices of `a` inside the stage-`stage` tower."""
-    hs = heights(spec, stage)
-    _check_levels(hs, a)
-    s = set(a.levels)
-    for j in range(a.stage - 1, stage - 1):
-        s |= {x + hs[j] for x in s}
-    return frozenset(s)
+def _pair_count(hs: list[int], a: LevelSet, n: int) -> int:
+    """D(n) at the working stage len(hs): the pairs of A's levels there that
+    differ by n > 0. D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|) is pulled back to
+    A's own stage as weights on differences, dropping each d >= h_j, for
+    which D_j(d) = 0."""
+    weights = {n: 1}
+    for h in reversed(hs[a.stage - 1 : -1]):
+        pulled: dict[int, int] = {}
+        for d, w in weights.items():
+            for e, v in ((d, 2 * w), (abs(d - h), w)):
+                if e < h:
+                    pulled[e] = pulled.get(e, 0) + v
+        weights = pulled
+    return sum(w * sum(l + d in a.levels for l in a.levels) for d, w in weights.items())
 
 
 def correlation(
@@ -129,9 +139,12 @@ def correlation(
 ) -> Fraction | Unstable:
     """Exact mu(T^n A intersect A), or UNSTABLE if not certified at `stage`.
 
-    The value is certified when no mass of A sits in the top n levels of the
-    working tower (every orbit segment stays inside); otherwise the counts at
-    stages `stage-1` and `stage` must agree, else UNSTABLE is returned.
+    The value is D(n) times the level width at the working stage, where D(n)
+    counts the pairs of A's levels there that differ by n, taken by the
+    difference recursion from A's own levels. It is certified when no mass
+    of A sits in the top n levels of the working tower (every orbit segment
+    stays inside); otherwise the counts at stages `stage-1` and `stage` must
+    agree, else UNSTABLE is returned.
     """
     if n < 0:
         raise ValueError("time must be non-negative")
@@ -141,46 +154,32 @@ def correlation(
         raise ValueError(f"time {n} leaves the stage-{stage} tower (h={h_top})")
     if n == 0:
         return a.measure()
-    levels = propagate_levels(spec, a, stage)
-    w = level_width(stage)
-    hits = sum(1 for l in levels if l + n in levels)
-    boundary = sum(1 for l in levels if l + n >= h_top)
-    if boundary == 0:
-        return hits * w
+    value = _pair_count(hs, a, n) * level_width(stage)
+    if _top_level(hs, a) + n < h_top:
+        return value
     if stage - 1 >= a.stage and n < hs[-2]:
-        prev_levels = propagate_levels(spec, a, stage - 1)
-        prev_hits = sum(1 for l in prev_levels if l + n in prev_levels)
-        if prev_hits * level_width(stage - 1) == hits * w:
-            return hits * w
+        if _pair_count(hs[:-1], a, n) * level_width(stage - 1) == value:
+            return value
     return UNSTABLE
 
 
 def extend_spec(spec: RankOneSpec, a: LevelSet, n_max: int) -> RankOneSpec:
-    """Append minimal sparse spacers (s_j = h_j) until times up to n_max are
-    certifiable for the level set `a`; existing stages are unchanged."""
-    spacers = list(spec.spacers)
-    hs = heights(spec, max(a.stage, spec.max_stage))
-    top = _top_level(hs, a)
-    while hs[-1] - top <= n_max or spec.max_stage == a.stage:
-        spacers.append(hs[-1])
-        spec = RankOneSpec(spec.h1, tuple(spacers))
-        top += hs[-1]
-        hs.append(3 * hs[-1])
-        if len(spacers) > 512:
-            raise DesignError("cannot certify the requested horizon")
-    return spec
+    """The spec with its tail s_j = h_j written out as explicit spacers up
+    to the stage `min_exact_stage(spec, a, n_max)`; explicit stages are kept
+    and no height or correlation changes."""
+    hs = heights(spec, max(spec.max_stage, min_exact_stage(spec, a, n_max)))
+    return RankOneSpec(spec.h1, spec.spacers + tuple(hs[len(spec.spacers) : -1]))
 
 
 def min_exact_stage(spec: RankOneSpec, a: LevelSet, n_max: int) -> int:
-    """Smallest working stage at which all times up to n_max are certified."""
-    for stage in range(a.stage + 1, spec.max_stage + 1):
-        hs = heights(spec, stage)
-        if hs[-1] - _top_level(hs, a) > n_max:
-            return stage
-    raise ValueError(
-        f"spec too shallow to certify all times up to {n_max}; "
-        f"continue it with extend_spec(spec, a, {n_max})"
-    )
+    """Smallest working stage above A's own at which all times up to n_max
+    are certified, i.e. h_j exceeds A's top level there by more than n_max.
+    It exists: that gap grows by s_j from stage j to j+1, so it never
+    shrinks and grows by h_j at each tail stage."""
+    stage = a.stage + 1
+    while (hs := heights(spec, stage))[-1] - _top_level(hs, a) <= n_max:
+        stage += 1
+    return stage
 
 
 @dataclass(frozen=True)
@@ -208,14 +207,14 @@ def correlation_series(
     pairs of levels of A that differ by d. It is exact once no orbit of A
     leaves the tower within n_max steps. From the first such stage on, D
     only doubles on [0, n_max] while the width halves, so every deeper
-    working stage gives the same series, and D is taken at that first one.
+    working stage gives the same series, and D is taken at the shallower of
+    `stage` and the stage `min_exact_stage` finds.
     It is built from A's own levels by D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|)
     on an int64 array as long as the difference span; when the grown set is
     small next to that span, its pairs are counted directly instead. Counts
     are at most the square of the tower height, so int64 is exact for any
     array that fits in memory. With `stage=None` the working stage is found
-    by `min_exact_stage`, so the spec must already be deep enough for n_max
-    (continue a designed spec with `extend_spec` first).
+    by `min_exact_stage`; an explicit `stage` too shallow for n_max raises.
     """
     if stage is None:
         stage = min_exact_stage(spec, a, n_max)
@@ -224,10 +223,9 @@ def correlation_series(
     if a.levels and hs[-1] - top <= n_max:
         raise ValueError("working stage too shallow for exact series")
     counts = np.zeros(max(n_max + 1, 0), dtype=np.int64)
-    first = a.stage  # the first certifying stage; deeper ones give the same values
+    first = stage
     if a.levels and n_max >= 0:
-        while hs[first - 1] - _top_level(hs[:first], a) <= n_max:
-            first += 1
+        first = min(stage, min_exact_stage(spec, a, n_max))
         d = _grown_differences(
             np.array(sorted(a.levels), dtype=np.int64), hs[a.stage - 1 : first - 1], n_max
         )[: n_max + 1]

@@ -64,29 +64,45 @@ def test_rankone_correlate_contains_halving_entry(tmp_path):
 
 
 def test_rankone_correlate_continues_explicit_spacers(tmp_path):
-    # spacers 1, 1 are too shallow for n <= 100; the construction continues
+    # the explicit spacers 1, 1 end at stage 3, which does not certify
+    # n <= 100, and a stage-9 set lies past them; the construction continues
     # with s_j = h_j, as it does after designed spacers
     out = tmp_path / "corr.csv"
-    assert run(
-        [
-            "rankone", "correlate", "--h1", "1", "--spacers", "1,1",
-            "--A", "2:0", "--n-max", "100", "--out", str(out),
-        ]
-    ) == 0
-    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
-    assert [int(r[0]) for r in rows] == list(range(101))
     spacers = [1, 1]
-    hs, levels = [1, 3], np.array([0])  # A is level 0 of stage 2
-    while hs[-1] - levels.max() <= 100:
-        levels = np.concatenate([levels, levels + hs[-1]])
-        s = spacers[len(hs) - 1] if len(hs) <= len(spacers) else hs[-1]
-        hs.append(2 * hs[-1] + s)
-    stage = len(hs)
-    diffs = np.subtract.outer(levels, levels).ravel()
-    counts = np.bincount(diffs[diffs >= 0], minlength=101)
-    expected = [Fraction(int(c), 2 ** (stage - 1)) for c in counts[:101]]
-    assert [Fraction(int(r[1]), int(r[2])) for r in rows] == expected
-    assert expected[3] == Fraction(1, 4)  # half of mu(A) at h_2 = 3
+    for a_stage in (2, 9):
+        assert run(
+            [
+                "rankone", "correlate", "--h1", "1", "--spacers", "1,1",
+                "--A", f"{a_stage}:0", "--n-max", "100", "--out", str(out),
+            ]
+        ) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(101))
+        hs, levels = [1], np.array([0])  # A is level 0 of stage a_stage
+        while len(hs) < a_stage or hs[-1] - levels.max() <= 100:
+            if len(hs) >= a_stage:
+                levels = np.concatenate([levels, levels + hs[-1]])
+            s = spacers[len(hs) - 1] if len(hs) <= len(spacers) else hs[-1]
+            hs.append(2 * hs[-1] + s)
+        stage = len(hs)
+        diffs = np.subtract.outer(levels, levels).ravel()
+        counts = np.bincount(diffs[diffs >= 0], minlength=101)
+        expected = [Fraction(int(c), 2 ** (stage - 1)) for c in counts[:101]]
+        assert [Fraction(int(r[1]), int(r[2])) for r in rows] == expected
+        assert expected[0] == Fraction(1, 2 ** (a_stage - 1))  # mu(A)
+        if a_stage == 2:
+            assert expected[3] == Fraction(1, 4)  # half of mu(A) at h_2 = 3
+
+
+def test_rankone_correlate_rejects_stage_zero(tmp_path, capsys):
+    out = tmp_path / "corr.csv"
+    for a in (["--A", "0:0"], ["--A", "level:0", "--stage", "0"]):
+        assert run(
+            ["rankone", "correlate", "--h1", "1", "--spacers", "1,1", *a,
+             "--n-max", "5", "--out", str(out)]
+        ) == 1
+        assert "stage must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_rankone_design_and_decompose(tmp_path):
@@ -220,6 +236,11 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    for den in ("--mu-den", "--c-den"):
+        with pytest.raises(SystemExit) as exc:
+            main(["rankone", "decompose", "--spacers", "1,1", "--times", "3",
+                  den, "0", "--out", "x.json"])
+        assert exc.value.code == 2
 
 
 def test_seeded_reruns_are_byte_identical(tmp_path):

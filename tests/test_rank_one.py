@@ -21,13 +21,14 @@ def geometric_spec(stages, h1=1):
 
 def occupancy_oracle(spec, a, stage):
     """Stage tower as an explicit cell mask built by the cut-and-stack
-    recursion: mask_{j+1} = mask_j ++ mask_j ++ zeros(s_j)."""
+    recursion: mask_{j+1} = mask_j ++ mask_j ++ zeros(s_j), with
+    s_j = h_{j+1} - 2*h_j."""
     hs = r1.heights(spec, stage)
     mask = np.zeros(hs[a.stage - 1], dtype=bool)
     mask[list(a.levels)] = True
     for j in range(a.stage - 1, stage - 1):
         mask = np.concatenate(
-            [mask, mask, np.zeros(spec.spacers[j], dtype=bool)]
+            [mask, mask, np.zeros(hs[j + 1] - 2 * hs[j], dtype=bool)]
         )
     return mask
 
@@ -54,12 +55,20 @@ def test_heights_examples():
 
 
 def test_heights_validation():
+    # past the explicit spacers the construction continues with s_j = h_j
+    spec = r1.RankOneSpec(1, (3,))
+    assert spec.max_stage == 2
+    assert r1.heights(spec, 4) == [1, 5, 15, 45]
+    assert r1.heights(r1.RankOneSpec(2, ()), 3) == [2, 6, 18]
     with pytest.raises(ValueError):
-        r1.heights(r1.RankOneSpec(1, (3,)), 3)
+        r1.heights(spec, 0)
     with pytest.raises(ValueError):
         r1.RankOneSpec(0, (1,))
     with pytest.raises(ValueError):
         r1.RankOneSpec(1, (-1,))
+    for stage in (0, -1):
+        with pytest.raises(ValueError, match="stage must be positive"):
+            r1.LevelSet(stage, frozenset([0]))
 
 
 def test_correlation_zero_time_is_measure():
@@ -135,9 +144,15 @@ def test_series_matches_occupancy_oracle_on_random_specs():
         a = r1.LevelSet(a_stage, frozenset(rng.sample(range(hs[a_stage - 1]), size)))
         n_max = rng.randint(0, 80)
         # continued past the certifying stage, so deeper stages exist
-        spec = r1.extend_spec(r1.RankOneSpec(h1, tuple(spacers)), a, 4 * n_max + 9)
+        prefix = r1.RankOneSpec(h1, tuple(spacers))
+        spec = r1.extend_spec(prefix, a, 4 * n_max + 9)
         stage = r1.min_exact_stage(spec, a, n_max)
         series = r1.correlation_series(spec, a, n_max)
+        # the written-out tail changes nothing
+        assert r1.min_exact_stage(prefix, a, n_max) == stage
+        assert r1.correlation_series(prefix, a, n_max) == series
+        if stage > prefix.max_stage:
+            covered.add("past the explicit spacers")
         assert [n for n, _ in series.entries] == list(range(n_max + 1))
         assert all(type(v) is Fraction for _, v in series.entries)
         assert [v for _, v in series.entries] == series_oracle(spec, a, n_max, stage)
@@ -155,7 +170,7 @@ def test_series_matches_occupancy_oracle_on_random_specs():
             covered.add("own stage past the largest difference")
         covered.add("zero spacer" if 0 in spacers else "growth only")
     assert covered == {
-        "deeper", "past the largest difference",
+        "deeper", "past the largest difference", "past the explicit spacers",
         "own stage past the largest difference", "zero spacer", "growth only",
     }
 
@@ -184,6 +199,50 @@ def test_series_with_levels_far_apart_in_a_tall_tower():
     for n in range(6):
         assert series.value(n) == r1.correlation(spec, a, n, 2), n
     assert [v for _, v in series.entries] == [2, 1, 0, 0, 0, 0]
+
+
+def propagated_levels(spec, a, stage):
+    """Level indices of `a` in the stage tower, grown by S -> S + (S + h_j)."""
+    s = frozenset(a.levels)
+    for h in r1.heights(spec, stage)[a.stage - 1 : -1]:
+        s |= {x + h for x in s}
+    return s
+
+
+def correlation_reference(spec, a, n, stage):
+    """(value, rule) for 0 < n < h_stage from propagated level sets: hits are
+    the levels l with l + n in the set; the value is certified when no level
+    lies in the top n, else when stage - 1 gives the same value."""
+    hs = r1.heights(spec, stage)
+    levels = propagated_levels(spec, a, stage)
+    value = sum(l + n in levels for l in levels) * r1.level_width(stage)
+    if all(l + n < hs[-1] for l in levels):
+        return value, "certified"
+    if stage - 1 >= a.stage and n < hs[-2]:
+        prev = propagated_levels(spec, a, stage - 1)
+        if sum(l + n in prev for l in prev) * r1.level_width(stage - 1) == value:
+            return value, "stages agree"
+    return r1.UNSTABLE, "unstable"
+
+
+def test_correlation_matches_propagated_sets_on_random_specs():
+    rng = random.Random(20210406)
+    covered = set()
+    for _ in range(300):
+        spacers = [rng.choice([0, 1, rng.randint(0, 6)]) for _ in range(rng.randint(0, 4))]
+        spec = r1.RankOneSpec(rng.randint(1, 3), tuple(spacers))
+        stage = rng.randint(1, spec.max_stage + 3)
+        hs = r1.heights(spec, stage)
+        a_stage = rng.randint(1, stage)
+        size = rng.randint(1, min(5, hs[a_stage - 1]))
+        a = r1.LevelSet(a_stage, frozenset(rng.sample(range(hs[a_stage - 1]), size)))
+        for n in rng.sample(range(1, hs[-1]), min(8, hs[-1] - 1)):
+            value, rule = correlation_reference(spec, a, n, stage)
+            assert r1.correlation(spec, a, n, stage) == value, (spec, a, n, stage)
+            covered.add(rule)
+            if stage > spec.max_stage and value is not r1.UNSTABLE:
+                covered.add("past the explicit spacers")
+    assert covered == {"certified", "stages agree", "unstable", "past the explicit spacers"}
 
 
 def test_correlation_unstable_without_spacers():
