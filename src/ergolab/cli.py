@@ -222,9 +222,7 @@ def _cmd_ledrappier(args) -> None:
 
 def _cmd_mosaic(args) -> None:
     if args.action == "generate":
-        mosaic = mosaics.generate_mosaic(
-            args.width, args.m, args.k, args.seed, args.adjacency
-        )
+        mosaic = mosaics.generate_mosaic(args.width, args.m, args.k, args.adjacency)
         mosaics.render_ppm(mosaic, args.out)
     elif args.action == "count":
         c = mosaics.count_mosaics(args.width, args.m, args.k, args.adjacency)
@@ -237,9 +235,7 @@ def _cmd_mosaic(args) -> None:
         rows = mosaics.entropy_profile(sizes, args.k, args.adjacency)
         _write_text(args.out, mosaics.entropy_csv(rows))
     else:  # spin
-        mosaic = mosaics.generate_mosaic(
-            args.width, args.m, args.k, args.seed, args.adjacency
-        )
+        mosaic = mosaics.generate_mosaic(args.width, args.m, args.k, args.adjacency)
         result = mosaics.spin_map(mosaic)
         payload = {
             "plus": result["plus"],
@@ -345,7 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, choices=[2, 3])
     p.add_argument("--adjacency", type=int, default=8, choices=[4, 8])
     p.add_argument("--widths", help="comma-separated widths for entropy")
-    p.add_argument("--seed", type=int, help="required for generate/spin")
+    p.add_argument(
+        "--seed",
+        type=int,
+        help="required for generate/spin; free-boundary output does not depend on it",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mosaic)
 

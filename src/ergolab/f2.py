@@ -25,6 +25,7 @@ from .errors import CapExceeded, Infeasible
 GENERATORS = ("a", "b", "A", "B")
 ASSIGNMENT_CAP = 1 << 17
 WINDOW_CAP = 64
+RESTARTS = 4
 
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
@@ -265,18 +266,16 @@ def _climb(window: tuple[str, ...], start: frozenset[int], budget: int, seed: in
     return members
 
 
-def search_best(
-    radius: int, budget: int, seed: int, restarts: int = 4
-) -> RokhlinCertificate:
+def search_best(radius: int, budget: int, seed: int) -> RokhlinCertificate:
     """Seeded hill climbing over radius-L predicates under the ten constraints.
 
-    Starts from the local-peak baseline; each restart consumes an equal share
-    of the budget with its own derived seed. Of the baseline and the climbs,
-    only non-empty sets that `verify_rokhlin_family` accepts are candidates;
-    the best wins by measure, ties by lexicographically least assignment
-    tuple, and the returned certificate is re-verified from scratch. Raises
-    Infeasible when no candidate remains (at radius 1 the baseline fails and
-    no single assignment avoids its own translates).
+    Starts from the local-peak baseline; each of the RESTARTS climbs consumes
+    an equal share of the budget with its own derived seed. Of the baseline
+    and the climbs, only non-empty sets that `verify_rokhlin_family` accepts
+    are candidates; the best wins by measure, ties by lexicographically least
+    assignment tuple, and the returned certificate is re-verified from
+    scratch. Raises Infeasible when no candidate remains (at radius 1 the
+    baseline fails and no single assignment avoids its own translates).
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -290,10 +289,9 @@ def search_best(
     window = base.window
     found = [set(base.assignments)]
     if budget > 0:
-        n_restarts = max(1, restarts)
-        share = budget // n_restarts
+        share = budget // RESTARTS
         master = random.Random(seed)
-        seeds = [master.randrange(2 ** 32) for _ in range(n_restarts)]
+        seeds = [master.randrange(2 ** 32) for _ in range(RESTARTS)]
         found += [_climb(window, base.assignments, share, s) for s in seeds]
     candidates = [
         p for p in found

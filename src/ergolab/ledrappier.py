@@ -49,13 +49,9 @@ def sample_field(width: int, height: int, seed: int) -> HarmonicField:
     if width < 3 or height < 2:
         raise ValueError("need width >= 3 and height >= 2")
     rng = np.random.default_rng(seed)
-    cells = np.zeros((height, width), dtype=np.uint8)
-    cells[0] = rng.integers(0, 2, size=width, dtype=np.uint8)
-    cells[1] = rng.integers(0, 2, size=width, dtype=np.uint8)
-    for y in range(1, height - 1):
-        row = cells[y]
-        cells[y + 1] = row ^ np.roll(row, 1) ^ np.roll(row, -1) ^ cells[y - 1]
-    return HarmonicField(cells)
+    row0 = rng.integers(0, 2, size=width, dtype=np.uint8)
+    row1 = rng.integers(0, 2, size=width, dtype=np.uint8)
+    return field_from_rows(row0, row1, height)
 
 
 def field_from_rows(row0, row1, height: int) -> HarmonicField:
@@ -64,6 +60,8 @@ def field_from_rows(row0, row1, height: int) -> HarmonicField:
     r1 = np.asarray(row1, dtype=np.uint8)
     if r0.shape != r1.shape or r0.ndim != 1:
         raise ValueError("rows must be 1-D of equal length")
+    if height < 2:
+        raise ValueError("need height >= 2")
     cells = np.zeros((height, r0.size), dtype=np.uint8)
     cells[0], cells[1] = r0, r1
     for y in range(1, height - 1):

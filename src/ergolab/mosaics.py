@@ -5,13 +5,23 @@ contact counts); 4-adjacency is available behind a flag since the intended
 reading is not pinned down. Counting is exact (big integers) via a transfer
 map over interface profiles: per column, the overhang depth of red tiles
 crossing the current row boundary and the blue flags of the previous row.
+
+With free boundaries a board has at most one mosaic, for either adjacency:
+one blue cell on the 1-by-1 board, else the aligned k-by-k grid when k
+divides both sides. Proof: a single row or column of length >= 2 would be
+all blue, which fails. Take w, h >= 2 and suppose (0, y) is blue. Then
+(1, y) is red, so its tile is anchored at column 1 and reaches row y-1 or
+y+1. Column 0's cell in that row touches (0, y), so it is red; its tile is
+anchored at column 0 and covers column 1 there too: the tiles overlap. So
+column 0 holds no blue; it is a stack of tiles over columns 0..k-1, and the
+rest is a mosaic of width w-k. `count_mosaics` does not assume this; it is
+the reference the generator is tested against.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 
 from .errors import CapExceeded, Infeasible
@@ -29,9 +39,6 @@ class Mosaic:
     k: int
     cells: tuple[tuple[int, ...], ...]  # rows of labels, cells[y][x]
     adjacency: int = 8
-
-    def label(self, x: int, y: int) -> int:
-        return self.cells[y][x]
 
 
 def _neighbors(x: int, y: int, w: int, h: int, adjacency: int):
@@ -78,136 +85,23 @@ def validate_mosaic(mosaic: Mosaic) -> bool:
     return True
 
 
-def generate_mosaic(
-    width: int, height: int, k: int, seed: int, adjacency: int = 8
-) -> Mosaic:
-    """Seeded randomized backtracking in scanline order; raises Infeasible."""
+def generate_mosaic(width: int, height: int, k: int, adjacency: int = 8) -> Mosaic:
+    """The board's only mosaic, tile ids in scanline order; raises Infeasible."""
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     if width < 1 or height < 1:
         raise ValueError("board must be non-empty")
     if adjacency not in (4, 8):
         raise ValueError("adjacency must be 4 or 8")
-    rng = random.Random(seed)
-    grid = [[None] * width for _ in range(height)]
-    anchors: dict[int, tuple[int, int]] = {}
-    tile_counter = 0
-
-    def red_allowed(x: int, y: int) -> bool:
-        if x + k > width or y + k > height:
-            return False
-        for yy in range(y, y + k):
-            for xx in range(x, x + k):
-                if grid[yy][xx] is not None:
-                    return False
-        return True
-
-    def cell_below_coverable(x: int, y: int) -> bool:
-        # the cell under a blue cannot itself be blue; some tile anchored at
-        # (ax, y+1) must cover it without clashing with committed cells
-        if y + 1 >= height:
-            return True
-        if grid[y + 1][x] is not None:
-            return True
-        if y + 1 + k > height:
-            return False
-        for ax in range(max(0, x - k + 1), min(x, width - k) + 1):
-            ok = True
-            for c in range(ax, ax + k):
-                if c != x and grid[y + 1][c] is not None:
-                    ok = False
-                    break
-                lab = grid[y][c]
-                if c < x and lab is not None and lab != BLUE:
-                    if anchors[lab][1] + k > y + 1:
-                        ok = False
-                        break
-            if ok:
-                return True
-        return False
-
-    def blue_allowed(x: int, y: int) -> bool:
-        for nx, ny in _neighbors(x, y, width, height, adjacency):
-            if grid[ny][nx] == BLUE:
-                return False
-        # scanline: a still-free cell can only be covered by a tile anchored
-        # at it, so a blue here starves a free right neighbour that cannot
-        # anchor a tile (it could not go blue either)
-        if x + 1 < width and grid[y][x + 1] is None:
-            if x + 1 + k > width or y + k > height:
-                return False
-        return cell_below_coverable(x, y)
-
-    # On any free-boundary board that admits a k-by-k tile, a complete tiling
-    # can contain no blue at all: the leftmost blue of the first uncovered row
-    # strands the cell beside or below it (row induction). Branching on blues
-    # is therefore restricted to boards small enough for the exhaustive tests
-    # to cross-check this rule against the brute-force oracle.
-    blue_branching = width < k or height < k or width * height <= 49
-
-    def place(choice: str, x: int, y: int) -> bool:
-        nonlocal tile_counter
-        if choice == "blue":
-            if not blue_allowed(x, y):
-                return False
-            grid[y][x] = BLUE
-            return True
-        if not red_allowed(x, y):
-            return False
-        tile = tile_counter
-        tile_counter += 1
-        anchors[tile] = (x, y)
-        for yy in range(y, y + k):
-            for xx in range(x, x + k):
-                grid[yy][xx] = tile
-        return True
-
-    def unplace(choice: str, x: int, y: int) -> None:
-        nonlocal tile_counter
-        if choice == "blue":
-            grid[y][x] = None
-            return
-        tile_counter -= 1
-        del anchors[tile_counter]
-        for yy in range(y, y + k):
-            for xx in range(x, x + k):
-                grid[yy][xx] = None
-
-    def next_free(pos: int) -> int:
-        while pos < width * height and grid[pos // width][pos % width] is not None:
-            pos += 1
-        return pos
-
-    def shuffled_choices() -> list[str]:
-        choices = ["blue", "red"] if blue_branching else ["red"]
-        rng.shuffle(choices)
-        return choices
-
-    # explicit-stack backtracking: frame = [pos, pending choices, applied]
-    total = width * height
-    start = next_free(0)
-    if start == total:
-        return Mosaic(width, height, k, tuple(tuple(r) for r in grid), adjacency)
-    stack = [[start, shuffled_choices(), None]]
-    while stack:
-        frame = stack[-1]
-        pos, choices, applied = frame
-        y, x = divmod(pos, width)
-        if applied is not None:
-            unplace(applied, x, y)
-            frame[2] = None
-        if not choices:
-            stack.pop()
-            continue
-        choice = choices.pop(0)
-        if not place(choice, x, y):
-            continue
-        frame[2] = choice
-        nxt = next_free(pos + 1)
-        if nxt == total:
-            return Mosaic(width, height, k, tuple(tuple(r) for r in grid), adjacency)
-        stack.append([nxt, shuffled_choices(), None])
-    raise Infeasible(f"no {width}x{height} mosaic with k={k}")
+    if width == height == 1:
+        return Mosaic(1, 1, k, ((BLUE,),), adjacency)
+    if width % k or height % k:
+        raise Infeasible(f"no {width}x{height} mosaic with k={k}")
+    cols = width // k
+    cells = tuple(
+        tuple(y // k * cols + x // k for x in range(width)) for y in range(height)
+    )
+    return Mosaic(width, height, k, cells, adjacency)
 
 
 def _row_transitions(state, w, k, allow_new_tile, adjacency):

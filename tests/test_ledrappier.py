@@ -181,3 +181,10 @@ def test_sample_field_validation():
         led.sample_field(2, 5, 0)
     with pytest.raises(ValueError):
         led.sample_field(5, 1, 0)
+
+
+def test_field_from_rows_validation():
+    with pytest.raises(ValueError):
+        led.field_from_rows([1, 0, 1], [0, 1, 1], 1)
+    with pytest.raises(ValueError):
+        led.field_from_rows([1, 0, 1], [0, 1], 4)

@@ -99,14 +99,14 @@ def test_count_width_cap():
 
 
 def test_generate_examples():
-    m = mo.generate_mosaic(3, 3, 3, seed=1)
+    m = mo.generate_mosaic(3, 3, 3)
     assert m.cells == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
     assert mo.validate_mosaic(m)
 
     with pytest.raises(Infeasible):
-        mo.generate_mosaic(4, 4, 3, seed=1)
+        mo.generate_mosaic(4, 4, 3)
 
-    m = mo.generate_mosaic(1, 1, 3, seed=0)
+    m = mo.generate_mosaic(1, 1, 3)
     assert m.cells == ((BLUE,),)
     assert mo.validate_mosaic(m)
 
@@ -117,7 +117,7 @@ def test_generate_matches_brute_force_feasibility():
             for h in range(1, 7):
                 feasible = brute_force_count(w, h, k) > 0
                 try:
-                    m = mo.generate_mosaic(w, h, k, seed=w * 31 + h)
+                    m = mo.generate_mosaic(w, h, k)
                 except Infeasible:
                     assert not feasible, (w, h, k)
                 else:
@@ -126,16 +126,16 @@ def test_generate_matches_brute_force_feasibility():
 
 
 def test_generate_large_boards():
-    m = mo.generate_mosaic(64, 64, 2, seed=11)
+    m = mo.generate_mosaic(64, 64, 2)
     assert mo.validate_mosaic(m)
-    m = mo.generate_mosaic(66, 33, 3, seed=4)
+    m = mo.generate_mosaic(66, 33, 3)
     assert mo.validate_mosaic(m)
     with pytest.raises(Infeasible):
-        mo.generate_mosaic(63, 64, 2, seed=0)
+        mo.generate_mosaic(63, 64, 2)
 
 
 def test_validator_rejects_corruption():
-    m = mo.generate_mosaic(6, 6, 3, seed=2)
+    m = mo.generate_mosaic(6, 6, 3)
     rows = [list(r) for r in m.cells]
     rows[0][0] = BLUE
     bad = mo.Mosaic(6, 6, 3, tuple(tuple(r) for r in rows))
@@ -179,12 +179,12 @@ def test_spin_map():
     assert result["plus"] == 1 and result["minus"] == 1
     assert result["diagnostic"] == 0.0
 
-    m = mo.generate_mosaic(64, 64, 2, seed=5)
+    m = mo.generate_mosaic(64, 64, 2)
     result = mo.spin_map(m)
     assert 0.0 <= result["diagnostic"] <= 1.0
 
     with pytest.raises(ValueError):
-        mo.spin_map(mo.generate_mosaic(3, 3, 3, seed=0))
+        mo.spin_map(mo.generate_mosaic(3, 3, 3))
 
 
 def test_render_ppm(tmp_path):
@@ -193,18 +193,37 @@ def test_render_ppm(tmp_path):
     mo.render_ppm(m, str(path))
     assert path.read_bytes() == b"P6\n1 1\n255\n\x00\x00\xff"
 
-    m = mo.generate_mosaic(3, 3, 3, seed=0)
+    m = mo.generate_mosaic(3, 3, 3)
     mo.render_ppm(m, str(path))
     body = path.read_bytes().split(b"255\n", 1)[1]
     assert body == b"\xff\x00\x00" * 9
 
-    m = mo.generate_mosaic(6, 4, 2, seed=0)
+    m = mo.generate_mosaic(6, 4, 2)
     mo.render_ppm(m, str(path))
     body = path.read_bytes().split(b"255\n", 1)[1]
     assert len(body) == 3 * 6 * 4
 
 
-def test_generate_deterministic_per_seed():
-    a = mo.generate_mosaic(6, 6, 2, seed=3)
-    b = mo.generate_mosaic(6, 6, 2, seed=3)
-    assert a == b
+def test_generate_scanline_tile_ids():
+    m = mo.generate_mosaic(4, 4, 2)
+    assert m.cells == ((0, 0, 1, 1), (0, 0, 1, 1), (2, 2, 3, 3), (2, 2, 3, 3))
+    assert mo.generate_mosaic(4, 4, 2) == m
+
+
+def test_generate_agrees_with_transfer_count_every_board():
+    # free boundaries admit at most one mosaic; the transfer map, which does
+    # not assume this, decides feasibility for every board under its cap
+    for k in (2, 3):
+        for adjacency in (4, 8):
+            for w in range(1, mo.WIDTH_CAP + 1):
+                for h in range(1, 25):
+                    count = mo.count_mosaics(w, h, k, adjacency)
+                    assert count <= 1, (w, h, k, adjacency)
+                    try:
+                        m = mo.generate_mosaic(w, h, k, adjacency)
+                    except Infeasible:
+                        assert count == 0, (w, h, k, adjacency)
+                    else:
+                        assert count == 1, (w, h, k, adjacency)
+                        assert m.adjacency == adjacency
+                        assert mo.validate_mosaic(m), (w, h, k, adjacency)
