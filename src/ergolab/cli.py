@@ -102,14 +102,12 @@ def _cmd_involutions(args) -> None:
     _write_json(args.out, payload)
 
 
-def _rankone_spec(args) -> tuple[r1.RankOneSpec, tuple[int, ...]]:
+def _rankone_spec(args) -> r1.RankOneSpec:
     if args.spacers == "auto":
         if not args.intervals:
             raise ErgolabError("--spacers auto needs --intervals")
-        design = r1.design_spacers(_parse_intervals(args.intervals), args.h1)
-        return design.spec, design.selected
-    spec = r1.RankOneSpec(args.h1, tuple(_parse_int_list(args.spacers)))
-    return spec, ()
+        return r1.design_spacers(_parse_intervals(args.intervals), args.h1).spec
+    return r1.RankOneSpec(args.h1, tuple(_parse_int_list(args.spacers)))
 
 
 def _parse_level_set(text: str, spec: r1.RankOneSpec, stage_flag) -> r1.LevelSet:
@@ -135,14 +133,14 @@ def _cmd_rankone_design(args) -> None:
 
 
 def _cmd_rankone_correlate(args) -> None:
-    spec, _ = _rankone_spec(args)
+    spec = _rankone_spec(args)
     a = _parse_level_set(args.a, spec, args.stage)
     series = r1.correlation_series(spec, a, args.n_max)
     _write_text(args.out, series.to_csv())
 
 
 def _cmd_rankone_decompose(args) -> None:
-    spec, _ = _rankone_spec(args)
+    spec = _rankone_spec(args)
     hs = r1.heights(spec, spec.max_stage)
     mu = Fraction(args.mu_num, args.mu_den)
     c = Fraction(args.c_num, args.c_den)
@@ -212,7 +210,7 @@ def _cmd_ledrappier(args) -> None:
         payload = {"harmonic": ok, "power_checks": powers}
         _write_json(args.out, payload)
     elif args.action == "trace":
-        x, y = _parse_int_list(args.start)
+        x, y = map(int, args.start.split(","))
         trace = ledrappier.trace_thread(field, (x, y), args.direction)
         _write_text(args.out, trace.to_csv())
     else:  # stats
@@ -329,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--start", help="x,y for trace")
-    p.add_argument("--direction", default="up")
+    p.add_argument(
+        "--direction", default="up", choices=["up", "down", "left", "right"]
+    )
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ledrappier)
@@ -363,8 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "ledrappier" and args.action == "trace" and not args.start:
-        parser.error("ledrappier trace requires --start x,y")
+    if args.subcommand == "ledrappier" and args.action == "trace":
+        try:
+            _, _ = map(int, (args.start or "").split(","))
+        except ValueError:
+            parser.error("ledrappier trace requires --start x,y (two integers)")
     if args.subcommand == "mosaic":
         if args.action in ("generate", "spin") and args.seed is None:
             parser.error("mosaic generate/spin require --seed")

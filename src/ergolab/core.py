@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -126,6 +126,20 @@ def validate_tower(sys: FinitePermutationSystem, tower: Tower) -> bool:
     return bool((cover == 1).all())
 
 
+def _tower(order: np.ndarray, h: int, roof: Sequence[int]) -> Tower:
+    """Height-h tower whose residual sits at the ascending walk positions
+    `roof`, which must cut the cycle into arcs of length divisible by h.
+
+    Each roof position satisfies p_i - i = c (mod h) with c = p_0 mod h, or
+    c = 0 for an empty roof. So with the roof removed, the column bases are
+    the remaining positions whose rank is c (mod h).
+    """
+    n = order.size
+    c = roof[0] % h if len(roof) else 0
+    base = frozenset(np.delete(order, roof)[c::h].tolist())
+    return Tower(AtomSet(base, n), h, AtomSet(frozenset(order[roof].tolist()), n))
+
+
 def rokhlin_tower(sys: FinitePermutationSystem, h: int) -> Tower:
     """Height-h tower on a single n-cycle with residual of measure (n mod h)/n.
 
@@ -137,61 +151,47 @@ def rokhlin_tower(sys: FinitePermutationSystem, h: int) -> Tower:
     n = sys.n
     if not 1 <= h <= n:
         raise ValueError(f"need 1 <= h <= n, got h={h}, n={n}")
-    top = n // h * h
-    base = frozenset(order[:top:h].tolist())
-    residual = frozenset(order[top:].tolist())
-    return Tower(AtomSet(base, n), h, AtomSet(residual, n))
+    return _tower(order, h, range(n - n % h, n))
 
 
 def _arc_residual_search(y_pos: list[int], n: int, h: int) -> list[int] | None:
-    """Lexicographically first position-subset of y_pos cutting the cycle
-    into arcs of length divisible by h, or None if no subset works.
+    """Lexicographically first subset of the ascending positions y_pos that
+    cuts the cycle into arcs of length divisible by h, or None if none does.
 
-    Consecutive chosen positions (cyclically) must leave gaps divisible by h,
-    so each successor position is congruent to predecessor + 1 mod h. The
-    depth-first search keeps its own stack: a chain can hold every position.
+    Positions p_0 < ... < p_{m-1} cut such arcs exactly when
+    p_{i+1} = p_i + 1 (mod h) for each i and m = n (mod h). The first
+    r = n mod h positions of a valid chain are a valid chain, so the first
+    valid subset has exactly r positions. Every successor of p has residue
+    p + 1 mod h, and the earliest one keeps every option a later one has.
+    So the first chain follows earliest successors from the first index
+    whose run of earliest successors (found right to left) holds r or more.
     """
-    if n % h == 0:
+    r = n % h
+    if r == 0:
         return []  # empty residual: the whole cycle splits into columns
     k = len(y_pos)
-    dead: set[tuple[int, int]] = set()  # (closing residue, node) with no chain
-
-    def chain_from(first: int, target: int) -> list[int] | None:
-        if y_pos[first] % h == target:
-            return [first]  # closing as early as possible is lexicographically first
-        path = [first]
-        tried = [first + 1]  # next successor to try, per path entry
-        while path:
-            cur, j = path[-1], tried[-1]
-            while j < k and (
-                (y_pos[j] - y_pos[cur] - 1) % h != 0 or (target, j) in dead
-            ):
-                j += 1
-            if j == k:
-                dead.add((target, cur))
-                path.pop()
-                tried.pop()
-                continue
-            tried[-1] = j + 1
-            path.append(j)
-            if y_pos[j] % h == target:
-                return path
-            tried.append(j + 1)
-        return None
-
-    for first in range(k):
-        target = (y_pos[first] + n - 1) % h
-        chain = chain_from(first, target)
-        if chain is not None:
-            return [y_pos[i] for i in chain]
-    return None
+    nxt, run = [None] * k, [0] * k
+    least: dict[int, int] = {}  # residue -> least index scanned so far
+    for j in range(k - 1, -1, -1):
+        succ = least.get((y_pos[j] + 1) % h)
+        nxt[j] = succ
+        run[j] = 1 if succ is None else run[succ] + 1
+        least[y_pos[j] % h] = j
+    j = next((j for j in range(k) if run[j] >= r), None)
+    chain = []
+    while j is not None and len(chain) < r:
+        chain.append(y_pos[j])
+        j = nxt[j]
+    return chain or None
 
 
 def lehrer_weiss_tower(sys: FinitePermutationSystem, h: int, y: AtomSet) -> Tower:
     """Height-h tower whose residual lies inside the prescribed set y.
 
     Finite-scale feasibility: some subset of y must cut the cycle into arcs
-    of length divisible by h. Raises Infeasible when no subset does.
+    of length divisible by h. Raises Infeasible when no subset does. The
+    residual is the lexicographically first such subset of y's walk
+    positions, and it holds exactly n mod h atoms.
     """
     order = sys.walk()
     n = sys.n
@@ -202,21 +202,9 @@ def lehrer_weiss_tower(sys: FinitePermutationSystem, h: int, y: AtomSet) -> Towe
     if y.n != n:
         raise ValueError("y belongs to a different system")
     y_pos = np.sort(perms.inverse(order)[y.indices()]).tolist()
-    chosen = _arc_residual_search(y_pos, n, h)
-    if chosen is None:
+    roof = _arc_residual_search(y_pos, n, h)
+    if roof is None:
         raise Infeasible(
             f"no subset of y cuts the {n}-cycle into arcs divisible by {h}"
         )
-    if not chosen:
-        base_pos: list[int] = list(range(0, n, h))
-    else:
-        base_pos = []
-        m = len(chosen)
-        for i in range(m):
-            arc_start = chosen[i] + 1
-            arc_len = (chosen[(i + 1) % m] - chosen[i] - 1) % n
-            for off in range(0, arc_len, h):
-                base_pos.append((arc_start + off) % n)
-    base = frozenset(order[base_pos].tolist())
-    residual = frozenset(order[chosen].tolist())
-    return Tower(AtomSet(base, n), h, AtomSet(residual, n))
+    return _tower(order, h, roof)

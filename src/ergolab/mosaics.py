@@ -172,17 +172,6 @@ def count_mosaics(width: int, height: int, k: int, adjacency: int = 8) -> int:
     return total
 
 
-def log2_big(n: int) -> float:
-    """log2 of a positive big integer without float overflow."""
-    if n <= 0:
-        raise ValueError("need a positive count")
-    bits = n.bit_length()
-    if bits <= 50:
-        return math.log2(n)
-    top = n >> (bits - 50)
-    return (bits - 50) + math.log2(top)
-
-
 def entropy_profile(
     sizes: list[tuple[int, int]], k: int, adjacency: int = 8
 ) -> list[tuple[int, int, float]]:
@@ -190,7 +179,7 @@ def entropy_profile(
     out = []
     for w, h in sizes:
         c = count_mosaics(w, h, k, adjacency)
-        ent = 0.0 if c == 0 else log2_big(c) / (w * h)
+        ent = 0.0 if c == 0 else math.log2(c) / (w * h)
         out.append((w, h, ent))
     return out
 

@@ -236,6 +236,11 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    for bad in (["1"], ["1,2,3"], ["1,2", "--direction", "sideways"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["ledrappier", "trace", "--n", "8", "--m", "8", "--seed", "1",
+                  "--start", *bad, "--out", "x.csv"])
+        assert exc.value.code == 2
     for den in ("--mu-den", "--c-den"):
         with pytest.raises(SystemExit) as exc:
             main(["rankone", "decompose", "--spacers", "1,1", "--times", "3",

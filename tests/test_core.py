@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -88,13 +89,32 @@ def test_lehrer_weiss_empty_roof_when_divisible():
 
 
 def test_lehrer_weiss_chains_through_every_atom():
-    # the roof chain holds n//2 positions, beyond Python's recursion limit
+    # the roof chain holds n//2 positions; the scan keeps no stack for it
     for n in (1999, 3999):
         sys_ = FinitePermutationSystem.cycle(n)
         h = n // 2 + 1
         t = core.lehrer_weiss_tower(sys_, h, sys_.subset(range(n)))
         assert core.validate_tower(sys_, t)
         assert len(t.base) == 1 and len(t.residual) == n - h
+
+
+def test_lehrer_weiss_infeasible_roof_is_linear():
+    # every residue but h-2 and h-1: chains of earliest successors break
+    # after h-2 positions, so no roof of n mod h = 159 atoms exists, and a
+    # search that backtracks over the long chains takes seconds
+    h = 160
+    sys_ = FinitePermutationSystem.cycle(1599)
+    y = sys_.subset(a for a in range(1599) if a % h < h - 2)
+    t0 = time.perf_counter()
+    with pytest.raises(Infeasible):
+        core.lehrer_weiss_tower(sys_, h, y)
+    assert time.perf_counter() - t0 < 1.0
+
+    sys_ = FinitePermutationSystem.cycle(1597)
+    y = sys_.subset(a for a in range(1597) if a % h < h - 2)
+    t = core.lehrer_weiss_tower(sys_, h, y)
+    assert core.validate_tower(sys_, t)
+    assert len(t.residual) == 157
 
 
 def test_lehrer_weiss_requires_nonempty_target():
@@ -118,9 +138,8 @@ def test_lehrer_weiss_matches_brute_force_small():
                     continue
                 y = sys_.subset(y_atoms)
                 y_pos = [pos_of[a] for a in y_atoms]
-                feasible = next(
-                    iter(brute_force_roof_subsets(n, h, y_pos)), None
-                ) is not None
+                first = next(brute_force_roof_subsets(n, h, y_pos), None)
+                feasible = first is not None
                 try:
                     t = core.lehrer_weiss_tower(sys_, h, y)
                 except Infeasible:
@@ -129,7 +148,10 @@ def test_lehrer_weiss_matches_brute_force_small():
                     assert feasible, (n, h, sorted(y_pos))
                     assert core.validate_tower(sys_, t)
                     assert t.residual.members <= y.members
-                    assert len(t.residual) % h == n % h
+                    assert len(t.residual) == n % h
+                    # the oracle yields by size, then lexicographically
+                    roof = sorted(pos_of[a] for a in t.residual.members)
+                    assert roof == list(first)
 
 
 @settings(max_examples=60, deadline=None)

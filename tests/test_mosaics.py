@@ -156,17 +156,6 @@ def test_entropy_zero_count_is_zero():
     assert rows[0][2] == 0.0
 
 
-def test_log2_big():
-    assert mo.log2_big(1) == 0.0
-    assert mo.log2_big(2**100) == pytest.approx(100.0)
-    big = 3**400
-    import math
-
-    assert mo.log2_big(big) == pytest.approx(400 * math.log2(3), rel=1e-9)
-    with pytest.raises(ValueError):
-        mo.log2_big(0)
-
-
 def test_spin_map():
     grid = [
         [BLUE, 0, 0],
