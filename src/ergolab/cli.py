@@ -47,8 +47,47 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json_key(key) -> str:
+    """A dict key coerced to a string as json does it, after sorting (so
+    int keys sort as ints)."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), nested at indent `pad`.
+
+    json indents in pure Python. A list of scalars is written instead by
+    one call of the C encoder with the indented item separator, which is
+    about three times faster on the long atom lists of `involutions`.
+    """
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        body = sep.join(
+            json.dumps(_json_key(k)) + ": " + _json_text(v, inner)
+            for k, v in sorted(obj.items())
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
+        body = sep.join(_json_text(v, inner) for v in obj)
+    else:
+        body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
 def _write_json(path: str, payload) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, _json_text(payload) + "\n")
 
 
 def _frac(v: Fraction) -> dict:

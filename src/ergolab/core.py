@@ -8,11 +8,16 @@ n-cycles; all measures are exact rationals.
 The bijection has one representation: a read-only int64 array with
 map[i] the image of atom i, composed in function order (see `perms`).
 Atom sets stay frozensets of Python ints.
+
+Towers and the involution pipeline read a single cycle in walk order from
+atom 0. The cycle constructors build the map from that order and keep it,
+so `walk` costs nothing for them; a caller-given map is walked once, on
+first use, and the order is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,6 +36,7 @@ class FinitePermutationSystem:
     """
 
     map: np.ndarray
+    _order: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "map", perms.as_permutation(self.map))
@@ -40,12 +46,18 @@ class FinitePermutationSystem:
         return self.map.size
 
     def walk(self) -> np.ndarray:
-        """Atoms in walk order from atom 0; ValueError unless `map` is a
-        single n-cycle."""
-        order = perms.cycle_order_from(self.map, 0)
-        if order.size != self.n:
-            raise ValueError("system must be a single n-cycle")
-        return order
+        """Atoms in walk order from atom 0, as a read-only int64 array;
+        ValueError unless `map` is a single n-cycle.
+
+        The cycle constructors carry the order they built the map from; a
+        caller-given map is walked on the first call and the order kept.
+        """
+        if self._order is None:
+            order = perms.cycle_order_from(self.map, 0)
+            if order.size != self.n:
+                raise ValueError("system must be a single n-cycle")
+            object.__setattr__(self, "_order", order)
+        return self._order
 
     def image(self, s: "AtomSet") -> "AtomSet":
         return AtomSet(frozenset(self.map[s.indices()].tolist()), self.n)
@@ -54,18 +66,32 @@ class FinitePermutationSystem:
         return AtomSet(frozenset(members), self.n)
 
     @staticmethod
+    def _from_walk(order: np.ndarray) -> "FinitePermutationSystem":
+        """The single cycle stepping along `order`, an int64 array holding
+        every atom once and starting at atom 0, which it keeps as its walk."""
+        p = np.empty(order.size, dtype=np.int64)
+        p[order] = np.roll(order, -1)
+        system = FinitePermutationSystem(p)
+        order.flags.writeable = False
+        object.__setattr__(system, "_order", order)
+        return system
+
+    @staticmethod
     def cycle(n: int) -> "FinitePermutationSystem":
         """The standard n-cycle i -> i+1 mod n."""
         if n < 1:
             raise ValueError("n must be positive")
-        return FinitePermutationSystem(np.roll(np.arange(n), -1))
+        return FinitePermutationSystem._from_walk(np.arange(n, dtype=np.int64))
 
     @staticmethod
     def random_cycle(n: int, seed: int) -> "FinitePermutationSystem":
-        order = np.random.default_rng(seed).permutation(n)
-        p = np.empty(n, dtype=np.int64)
-        p[order] = np.roll(order, -1)
-        return FinitePermutationSystem(p)
+        """The n-cycle stepping along a seeded random order of the atoms;
+        the order is rotated to start at atom 0, which leaves the map as it is."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        order = np.random.default_rng(seed).permutation(n).astype(np.int64, copy=False)
+        start = int(np.argmin(order))  # the position of atom 0
+        return FinitePermutationSystem._from_walk(np.roll(order, -start))
 
 
 @dataclass(frozen=True)
@@ -76,7 +102,7 @@ class AtomSet:
     n: int
 
     def __post_init__(self):
-        if any(not 0 <= i < self.n for i in self.members):
+        if self.members and (min(self.members) < 0 or max(self.members) >= self.n):
             raise ValueError("atom index out of range")
 
     @property

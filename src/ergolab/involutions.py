@@ -152,8 +152,7 @@ def factor_three_involutions(
         raise ValueError("tower height must be at least 3")
     n = sys.n
     if n <= 2:
-        if not perms.is_single_cycle(sys.map):
-            raise ValueError("system must be a single n-cycle")
+        sys.walk()  # ValueError unless the map is a single n-cycle
         ident = np.arange(n)
         return InvolutionTriple(ident, ident, sys.map)
 

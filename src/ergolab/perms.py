@@ -73,7 +73,3 @@ def cycle_order_from(p: np.ndarray, start: int = 0) -> np.ndarray:
         out.append(j)
         j = pl[j]
     return _frozen(np.fromiter(out, dtype=np.int64, count=len(out)))
-
-
-def is_single_cycle(p: np.ndarray) -> bool:
-    return cycle_order_from(p, 0).size == p.size

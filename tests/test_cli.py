@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ergolab import cli
 from ergolab.cli import main
 
 
@@ -260,3 +261,61 @@ def test_seeded_reruns_are_byte_identical(tmp_path):
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def reference_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_writer_matches_json_dumps_on_every_payload(tmp_path, monkeypatch):
+    written = []
+    write_json = cli._write_json
+
+    def checked(path, payload):
+        write_json(path, payload)
+        written.append(path)
+        with open(path, encoding="ascii", newline="") as fh:
+            assert fh.read() == reference_json(payload), path
+
+    monkeypatch.setattr(cli, "_write_json", checked)
+    intervals = "100:200,1000:2000"
+    runs = [
+        ["tower", "--n", "40", "--h", "7"],
+        ["tower", "--n", "8", "--h", "3", "--y", "0,4"],
+        ["involutions", "--n", "300", "--seed", "5"],
+        ["involutions", "--n", "25"],
+        ["rankone", "design", "--intervals", intervals],
+        ["rankone", "decompose", "--intervals", intervals, "--times", "150,1650,777"],
+        ["rankone", "gaps", "--sequence", "1,4,9,16,25,36,49", "--count", "3"],
+        ["recurrence", "average", "--n", "5", "--A", "0,2", "--N", "5"],
+        ["recurrence", "witness", "--n", "9", "--A", "0,1,2", "--N", "9"],
+        # 2**(k+1) < 64 gives int keys 0..4 in power_checks
+        ["ledrappier", "verify", "--n", "64", "--m", "64", "--seed", "3"],
+        ["mosaic", "spin", "--w", "1", "--h", "1", "--k", "2", "--seed", "1"],
+    ]
+    for i, argv in enumerate(runs):
+        assert run(argv + ["--out", str(tmp_path / f"{i}.json")]) == 0
+    assert len(written) == len(runs)
+
+
+def test_json_writer_matches_json_dumps_on_synthetic_payloads():
+    payloads = [
+        {10: "ten", 2: "two", -1: None, 0: True},  # int keys sort numerically
+        {1.5: [], 0.25: {}, float("inf"): (), True: 0},
+        {None: [None]},
+        {"a": [1.0, -0.0, 1e300, 2.5e-9, float("nan"), float("-inf")]},
+        {"s": ["", "q\"uote", "back\\slash", "tab\tnew\nline", "é ü ✓", ",\n  "]},
+        {"deep": [[1, [2, [3, []]]], {"b": {"c": [None, False, True]}}, ()]},
+        {"mixed": [1, "two", 3.0, None, True, {"k": [4]}, [5, 6]]},
+        [], {}, (), 0, -7, 2**70, 3.25, "text", None, False,
+        [[], {}, [[]], [{}]],
+        (1, (2, 3), [4]),
+        {"z": 1, "a": {"y": [1, 2], "b": ()}, "m": [[{"x": 0}]]},
+    ]
+    for payload in payloads:
+        assert cli._json_text(payload) + "\n" == reference_json(payload), payload
+    for bad in ({(1, 2): 0}, {"a": 1, 2: 3}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(bad)

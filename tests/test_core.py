@@ -2,11 +2,13 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergolab import core
+from ergolab import core, perms
 from ergolab.core import FinitePermutationSystem
+from ergolab.involutions import factor_three_involutions
 from ergolab.errors import Infeasible
 
 
@@ -172,5 +174,96 @@ def test_tower_disjoint_cover_property(n, seed, data):
 def test_atom_set_measure_is_computed():
     s = core.AtomSet(frozenset([0, 2, 4]), 12)
     assert s.measure == Fraction(1, 4)
+    for bad in ([12], [-1], [0, 5, 12], [-1, 3, 11]):
+        with pytest.raises(ValueError):
+            core.AtomSet(frozenset(bad), 12)
+    empty = core.AtomSet(frozenset(), 12)
+    assert len(empty) == 0 and empty.measure == 0
+    assert core.AtomSet(frozenset([0, 11]), 12).measure == Fraction(1, 6)
+
+
+WALK_SIZES = (1, 2, 3, 11, 12, 997)
+WALK_SEEDS = (0, 1, 7, 2**31 - 1)
+
+
+def test_constructors_carry_the_walk_from_atom_0():
+    systems = [FinitePermutationSystem.cycle(n) for n in WALK_SIZES] + [
+        FinitePermutationSystem.random_cycle(n, seed)
+        for n in WALK_SIZES
+        for seed in WALK_SEEDS
+    ]
+    for sys_ in systems:
+        order = sys_.walk()
+        assert order.dtype == np.int64 and not order.flags.writeable
+        assert order[0] == 0
+        assert order.tolist() == perms.cycle_order_from(sys_.map, 0).tolist()
+    assert FinitePermutationSystem.cycle(12).walk().tolist() == list(range(12))
+
+
+def test_random_cycle_map_steps_along_the_seeded_permutation():
+    # the map as it was built before the walk was kept: rotating the order
+    # must not move a single byte of it
+    for n in WALK_SIZES:
+        for seed in WALK_SEEDS:
+            order = np.random.default_rng(seed).permutation(n)
+            p = np.empty(n, dtype=np.int64)
+            p[order] = np.roll(order, -1)
+            got = FinitePermutationSystem.random_cycle(n, seed).map
+            assert got.dtype == np.int64 and got.tobytes() == p.tobytes()
+        assert FinitePermutationSystem.cycle(n).map.tolist() == np.roll(
+            np.arange(n), -1
+        ).tolist()
     with pytest.raises(ValueError):
-        core.AtomSet(frozenset([12]), 12)
+        FinitePermutationSystem.random_cycle(0, 1)
+
+
+def _tower_sets(build, *args):
+    """(base, residual) of the tower `build(*args)`, or None if Infeasible."""
+    try:
+        t = build(*args)
+    except Infeasible:
+        return None
+    return t.base.members, t.residual.members
+
+
+def test_caller_map_matches_the_constructor_it_copies():
+    rng = np.random.default_rng(5)
+    feasible_roofs = 0
+    for built in (
+        FinitePermutationSystem.cycle(997),
+        FinitePermutationSystem.random_cycle(997, 3),
+        FinitePermutationSystem.random_cycle(12, 8),
+    ):
+        given = FinitePermutationSystem(built.map.tolist())
+        n = given.n
+        assert given.walk().tolist() == built.walk().tolist()
+        assert given.walk() is given.walk()  # walked once, then kept
+        assert not given.walk().flags.writeable
+        y_atoms = rng.choice(n, size=n // 2, replace=False).tolist()
+        for h in (1, 2, 3, 11, n):
+            rokhlin = [_tower_sets(core.rokhlin_tower, s, h) for s in (built, given)]
+            roofed = [
+                _tower_sets(core.lehrer_weiss_tower, s, h, s.subset(y_atoms))
+                for s in (built, given)
+            ]
+            assert rokhlin[0] == rokhlin[1] and roofed[0] == roofed[1]
+            feasible_roofs += roofed[0] is not None and len(roofed[0][1]) > 0
+        triples = [factor_three_involutions(s) for s in (built, given)]
+        for name in ("s1", "s2", "s3"):
+            a, b = (getattr(t, name) for t in triples)
+            assert a.tobytes() == b.tobytes()
+    assert feasible_roofs >= 5
+
+
+def test_caller_non_cycle_raises_from_every_walk():
+    for p in ((1, 0, 3, 2), (0, 1), (0,) + tuple(range(2, 12)) + (1,)):
+        sys_ = FinitePermutationSystem(p)
+        for _ in range(2):  # a failed walk is not kept
+            with pytest.raises(ValueError, match="single n-cycle"):
+                sys_.walk()
+        with pytest.raises(ValueError, match="single n-cycle"):
+            core.rokhlin_tower(sys_, 1)
+        with pytest.raises(ValueError, match="single n-cycle"):
+            core.lehrer_weiss_tower(sys_, 1, sys_.subset([0]))
+        with pytest.raises(ValueError, match="single n-cycle"):
+            factor_three_involutions(sys_)

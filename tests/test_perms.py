@@ -47,9 +47,13 @@ def test_cycles_partition():
 
 
 def test_single_cycle_detection():
-    assert perms.is_single_cycle(perms.as_permutation([1, 2, 0]))
-    assert not perms.is_single_cycle(perms.as_permutation([1, 0, 2]))
-    assert perms.is_single_cycle(FinitePermutationSystem.random_cycle(37, 5).map)
+    assert FinitePermutationSystem([1, 2, 0]).walk().tolist() == [0, 1, 2]
+    with pytest.raises(ValueError, match="single n-cycle"):
+        FinitePermutationSystem([1, 0, 2]).walk()
+    p = FinitePermutationSystem.random_cycle(37, 5).map
+    order = FinitePermutationSystem(p).walk()  # a caller-given map is walked
+    assert sorted(order.tolist()) == list(range(37))
+    assert (p[order] == np.roll(order, -1)).all()
 
 
 def test_cycle_order_walks_whole_cycle():
