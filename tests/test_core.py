@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from ergolab import core, perms
 from ergolab.core import FinitePermutationSystem
-from ergolab.involutions import factor_three_involutions
 from ergolab.errors import Infeasible
+from ergolab.involutions import factor_three_involutions
 
 
 def brute_force_roof_subsets(n, h, y_pos):
@@ -201,8 +201,8 @@ def test_constructors_carry_the_walk_from_atom_0():
 
 
 def test_random_cycle_map_steps_along_the_seeded_permutation():
-    # the map as it was built before the walk was kept: rotating the order
-    # must not move a single byte of it
+    # the map steps along the seeded permutation itself: rotating the kept
+    # order to atom 0 must not move a single byte of it
     for n in WALK_SIZES:
         for seed in WALK_SEEDS:
             order = np.random.default_rng(seed).permutation(n)
