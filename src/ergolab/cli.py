@@ -5,6 +5,14 @@ seed, versions, output paths, wall time) to <out>.manifest.json. Identical
 arguments and seed produce byte-identical primary outputs; only the wall
 time in the manifest may differ. Exit codes: 0 success, 1 domain error,
 2 usage error.
+
+This is the only module that formats output or writes files; the library
+modules return values. Three writers produce every file:
+  _write_json  json.dumps(sort_keys=True, indent=2) and a newline: every
+               JSON output and every manifest;
+  _write_csv   a header line, then one comma-separated line per row;
+  _write_pnm   binary netpbm with maxval 255: P5 (greyscale) from an
+               (h, w) uint8 array, P6 (RGB) from an (h, w, 3) one.
 """
 
 from __future__ import annotations
@@ -37,9 +45,7 @@ def _write_manifest(out: str, sub: str, params: dict, seed, t0: float) -> None:
         "outputs": [out],
         "wall_time_s": time.monotonic() - t0,
     }
-    with open(out + ".manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out + ".manifest.json", manifest)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -90,15 +96,37 @@ def _write_json(path: str, payload) -> None:
     _write_text(path, _json_text(payload) + "\n")
 
 
+def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    lines = [",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_pnm(path: str, magic: str, pixels: np.ndarray) -> None:
+    height, width = pixels.shape[:2]
+    header = f"{magic}\n{width} {height}\n255\n".encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(header + pixels.tobytes())
+
+
 def _frac(v: Fraction) -> dict:
     return {"num": v.numerator, "den": v.denominator}
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _write_fractions(path: str, index: str, pairs) -> None:
+    """(i, value) pairs as CSV rows i, numerator, denominator."""
+    rows = ((i, v.numerator, v.denominator) for i, v in pairs)
+    _write_csv(path, (index, "numerator", "denominator"), rows)
+
+
+# argparse converters for the list flags: a ValueError from one is a usage
+# error (exit 2) that names the flag
+def _ints(text: str) -> list[int]:
+    """Comma-separated integers; empty items are skipped."""
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
-def _parse_intervals(text: str) -> list[tuple[int, int]]:
+def _intervals(text: str) -> list[tuple[int, int]]:
     out = []
     for tok in text.split(","):
         lo, _, hi = tok.partition(":")
@@ -106,11 +134,28 @@ def _parse_intervals(text: str) -> list[tuple[int, int]]:
     return out
 
 
+def _spacers(text: str) -> str | list[int]:
+    return text if text == "auto" else _ints(text)
+
+
+def _level_set(text: str) -> dict:
+    """'level:l1,l2' (stage from --stage, else the spec's last) or
+    'stage:l1,l2'."""
+    if text.startswith("level:"):
+        return {"stage": None, "levels": _ints(text[len("level:"):])}
+    stage, _, levels = text.partition(":")
+    return {"stage": int(stage), "levels": _ints(levels)}
+
+
+def _point(text: str) -> tuple[int, int]:
+    x, y = map(int, text.split(","))
+    return x, y
+
+
 def _cmd_tower(args) -> None:
     sys_ = core.FinitePermutationSystem.cycle(args.n)
     if args.y is not None:
-        y = sys_.subset(_parse_int_list(args.y))
-        tower = core.lehrer_weiss_tower(sys_, args.height, y)
+        tower = core.lehrer_weiss_tower(sys_, args.height, sys_.subset(args.y))
     else:
         tower = core.rokhlin_tower(sys_, args.height)
     payload = {
@@ -143,25 +188,12 @@ def _cmd_involutions(args) -> None:
 
 def _rankone_spec(args) -> r1.RankOneSpec:
     if args.spacers == "auto":
-        if not args.intervals:
-            raise ErgolabError("--spacers auto needs --intervals")
-        return r1.design_spacers(_parse_intervals(args.intervals), args.h1).spec
-    return r1.RankOneSpec(args.h1, tuple(_parse_int_list(args.spacers)))
-
-
-def _parse_level_set(text: str, spec: r1.RankOneSpec, stage_flag) -> r1.LevelSet:
-    if text.startswith("level:"):
-        stage = stage_flag if stage_flag is not None else spec.max_stage
-        levels = frozenset(_parse_int_list(text[len("level:"):]))
-    else:
-        stage_txt, _, levels_txt = text.partition(":")
-        stage = int(stage_txt)
-        levels = frozenset(_parse_int_list(levels_txt))
-    return r1.LevelSet(stage, levels)
+        return r1.design_spacers(args.intervals, args.h1).spec
+    return r1.RankOneSpec(args.h1, tuple(args.spacers))
 
 
 def _cmd_rankone_design(args) -> None:
-    design = r1.design_spacers(_parse_intervals(args.intervals), args.h1)
+    design = r1.design_spacers(args.intervals, args.h1)
     payload = {
         "h1": design.spec.h1,
         "spacers": list(design.spec.spacers),
@@ -173,9 +205,12 @@ def _cmd_rankone_design(args) -> None:
 
 def _cmd_rankone_correlate(args) -> None:
     spec = _rankone_spec(args)
-    a = _parse_level_set(args.a, spec, args.stage)
+    stage = args.a["stage"]
+    if stage is None:
+        stage = spec.max_stage if args.stage is None else args.stage
+    a = r1.LevelSet(stage, frozenset(args.a["levels"]))
     series = r1.correlation_series(spec, a, args.n_max)
-    _write_text(args.out, series.to_csv())
+    _write_fractions(args.out, "n", series.entries)
 
 
 def _cmd_rankone_decompose(args) -> None:
@@ -184,7 +219,7 @@ def _cmd_rankone_decompose(args) -> None:
     mu = Fraction(args.mu_num, args.mu_den)
     c = Fraction(args.c_num, args.c_den)
     rows = []
-    for n in _parse_int_list(args.times):
+    for n in args.times:
         dec = r1.nonmixing_decomposition(n, hs, c, mu, args.remainder_cap)
         if dec is None:
             rows.append({"n": n, "decomposition": None})
@@ -204,17 +239,16 @@ def _cmd_rankone_decompose(args) -> None:
 
 
 def _cmd_rankone_gaps(args) -> None:
-    seq = _parse_int_list(args.sequence)
-    gaps = r1.gap_intervals(seq, args.count)
+    gaps = r1.gap_intervals(args.sequence, args.count)
     payload = [{"lo": lo, "hi": hi} for lo, hi in gaps]
     _write_json(args.out, payload)
 
 
 def _cmd_recurrence(args) -> None:
     sys_ = core.FinitePermutationSystem.cycle(args.n)
-    a = sys_.subset(_parse_int_list(args.a))
-    a1 = sys_.subset(_parse_int_list(args.a1)) if args.a1 else a
-    a2 = sys_.subset(_parse_int_list(args.a2)) if args.a2 else a
+    a = sys_.subset(args.a)
+    a1 = sys_.subset(args.a1) if args.a1 else a
+    a2 = sys_.subset(args.a2) if args.a2 else a
     if args.action == "average":
         avg = rec.furstenberg_average(sys_, a, a1, a2, args.horizon)
         payload = {
@@ -228,17 +262,18 @@ def _cmd_recurrence(args) -> None:
         payload = {"witness": w, "i_max": args.horizon}
         _write_json(args.out, payload)
     else:  # profile
-        rows = [
+        values = (
             (i, rec.triple_intersection(sys_, a, a1, a2, i))
             for i in range(1, args.horizon + 1)
-        ]
-        _write_text(args.out, rec.series_csv(rows))
+        )
+        _write_fractions(args.out, "i", values)
 
 
 def _cmd_ledrappier(args) -> None:
     field = ledrappier.sample_field(args.width, args.m, args.seed)
     if args.action == "sample":
-        ledrappier.render_pgm(field, args.out)
+        # white (255) for value 1, black for 0
+        _write_pnm(args.out, "P5", field.cells * np.uint8(255))
     elif args.action == "verify":
         ok = ledrappier.verify_harmonicity(field)
         powers = {}
@@ -249,28 +284,36 @@ def _cmd_ledrappier(args) -> None:
         payload = {"harmonic": ok, "power_checks": powers}
         _write_json(args.out, payload)
     elif args.action == "trace":
-        x, y = map(int, args.start.split(","))
-        trace = ledrappier.trace_thread(field, (x, y), args.direction)
-        _write_text(args.out, trace.to_csv())
+        trace = ledrappier.trace_thread(field, args.start, args.direction)
+        _write_csv(args.out, ("step", "symbol"), enumerate(trace.symbols))
     else:  # stats
         stats = ledrappier.thread_statistics(field, args.samples, args.seed)
-        _write_text(args.out, ledrappier.statistics_json(stats))
+        _write_json(args.out, stats)
+
+
+# PPM colours, indexed by "is blue": red tiles, blue cells
+_MOSAIC_RGB = np.array([[255, 0, 0], [0, 0, 255]], dtype=np.uint8)
 
 
 def _cmd_mosaic(args) -> None:
     if args.action == "generate":
         mosaic = mosaics.generate_mosaic(args.width, args.m, args.k, args.adjacency)
-        mosaics.render_ppm(mosaic, args.out)
+        blue = np.array(mosaic.cells) == mosaics.BLUE
+        _write_pnm(args.out, "P6", _MOSAIC_RGB[blue.astype(np.intp)])
     elif args.action == "count":
         c = mosaics.count_mosaics(args.width, args.m, args.k, args.adjacency)
-        _write_text(
-            args.out,
-            mosaics.counts_json(args.width, args.m, args.k, c, args.adjacency),
-        )
+        payload = {
+            "width": args.width,
+            "height": args.m,
+            "k": args.k,
+            "adjacency": args.adjacency,
+            "count": str(c),
+        }
+        _write_json(args.out, payload)
     elif args.action == "entropy":
-        sizes = [(w, args.m) for w in _parse_int_list(args.widths)]
+        sizes = [(w, args.m) for w in args.widths]
         rows = mosaics.entropy_profile(sizes, args.k, args.adjacency)
-        _write_text(args.out, mosaics.entropy_csv(rows))
+        _write_csv(args.out, ("w", "h", "entropy_per_site"), rows)
     else:  # spin
         mosaic = mosaics.generate_mosaic(args.width, args.m, args.k, args.adjacency)
         result = mosaics.spin_map(mosaic)
@@ -284,11 +327,21 @@ def _cmd_mosaic(args) -> None:
 
 def _cmd_f2(args) -> None:
     if args.action == "verify":
-        cert = f2.verify_rokhlin_family(f2.local_peak(args.radius))
-        _write_text(args.out, cert.to_json(None))
+        cert, seed = f2.verify_rokhlin_family(f2.local_peak(args.radius)), None
     else:  # search
-        cert = f2.search_best(args.radius, args.budget, args.seed)
-        _write_text(args.out, cert.to_json(args.seed))
+        cert, seed = f2.search_best(args.radius, args.budget, args.seed), args.seed
+    target = Fraction(1, 17)
+    payload = {
+        "window": list(cert.base.window),
+        "assignments": sorted(cert.base.assignments),
+        "measure": _frac(cert.measure),
+        "verdict": cert.verdict,
+        "upper_bound": _frac(Fraction(1, len(f2.FAMILY))),
+        "reference_target": _frac(target),
+        "gap_to_target": _frac(target - cert.measure),
+        "seed": seed,
+    }
+    _write_json(args.out, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tower", help="Rokhlin / prescribed-roof towers")
     p.add_argument("--n", type=int, required=True, help="cycle length")
     p.add_argument("--h", dest="height", type=int, required=True, help="tower height")
-    p.add_argument("--y", help="comma-separated atoms allowed to hold the roof")
+    p.add_argument("--y", type=_ints, help="atoms allowed to hold the roof: a,b,...")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tower, seed=None)
 
@@ -317,15 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = acts.add_parser("design", help="fit spacers to interval midpoints")
     pa.add_argument("--h1", type=int, default=1)
-    pa.add_argument("--intervals", required=True, help="lo:hi,lo:hi,...")
+    pa.add_argument("--intervals", type=_intervals, required=True, help="lo:hi,...")
     pa.add_argument("--out", required=True)
     pa.set_defaults(func=_cmd_rankone_design, seed=None)
 
     pa = acts.add_parser("correlate", help="exact correlation series CSV")
     pa.add_argument("--h1", type=int, default=1)
-    pa.add_argument("--spacers", default="auto", help="'auto' or s1,s2,...")
-    pa.add_argument("--intervals", help="lo:hi,... used when --spacers auto")
-    pa.add_argument("--A", dest="a", required=True, help="'level:5' or 'stage:5,7'")
+    pa.add_argument("--spacers", type=_spacers, default="auto",
+                    help="'auto' or s1,s2,...")
+    pa.add_argument("--intervals", type=_intervals, help="lo:hi,... for --spacers auto")
+    pa.add_argument("--A", dest="a", type=_level_set, required=True,
+                    help="'level:5' or 'stage:5,7'")
     pa.add_argument("--stage", type=int, help="stage of the level set")
     pa.add_argument("--n-max", dest="n_max", type=int, required=True)
     pa.add_argument("--out", required=True)
@@ -333,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = acts.add_parser("decompose", help="signed-height decompositions")
     pa.add_argument("--h1", type=int, default=1)
-    pa.add_argument("--spacers", default="auto")
-    pa.add_argument("--intervals")
-    pa.add_argument("--times", required=True, help="comma-separated times")
+    pa.add_argument("--spacers", type=_spacers, default="auto")
+    pa.add_argument("--intervals", type=_intervals)
+    pa.add_argument("--times", type=_ints, required=True, help="comma-separated times")
     pa.add_argument("--mu-num", type=int, default=1)
     pa.add_argument("--mu-den", type=int, default=1)
     pa.add_argument("--c-num", type=int, default=1)
@@ -345,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_rankone_decompose, seed=None)
 
     pa = acts.add_parser("gaps", help="intervals inside gaps of a sequence")
-    pa.add_argument("--sequence", required=True, help="comma-separated increasing")
+    pa.add_argument("--sequence", type=_ints, required=True, help="increasing: a,b,...")
     pa.add_argument("--count", type=int, required=True)
     pa.add_argument("--out", required=True)
     pa.set_defaults(func=_cmd_rankone_gaps, seed=None)
@@ -353,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recurrence", help="triple intersections and averages")
     p.add_argument("action", choices=["average", "witness", "profile"])
     p.add_argument("--n", type=int, required=True, help="rotation size")
-    p.add_argument("--A", dest="a", required=True, help="comma-separated atoms")
-    p.add_argument("--A1", dest="a1")
-    p.add_argument("--A2", dest="a2")
+    p.add_argument("--A", dest="a", type=_ints, required=True, help="atoms: a,b,...")
+    p.add_argument("--A1", dest="a1", type=_ints)
+    p.add_argument("--A2", dest="a2", type=_ints)
     p.add_argument("--N", dest="horizon", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recurrence, seed=None)
@@ -365,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", dest="width", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--start", help="x,y for trace")
+    p.add_argument("--start", type=_point, help="x,y for trace")
     p.add_argument(
         "--direction", default="up", choices=["up", "down", "left", "right"]
     )
@@ -379,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", dest="m", type=int, required=True, help="board height")
     p.add_argument("--k", type=int, required=True, choices=[2, 3])
     p.add_argument("--adjacency", type=int, default=8, choices=[4, 8])
-    p.add_argument("--widths", help="comma-separated widths for entropy")
+    p.add_argument("--widths", type=_ints, help="comma-separated widths for entropy")
     p.add_argument(
         "--seed",
         type=int,
@@ -399,26 +454,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "ledrappier" and args.action == "trace":
-        try:
-            _, _ = map(int, (args.start or "").split(","))
-        except ValueError:
-            parser.error("ledrappier trace requires --start x,y (two integers)")
+    args = _PARSER.parse_args(argv)
+    error = _PARSER.error
+    if args.subcommand == "ledrappier" and args.action == "trace" and not args.start:
+        error("ledrappier trace requires --start x,y (two integers)")
     if args.subcommand == "mosaic":
         if args.action in ("generate", "spin") and args.seed is None:
-            parser.error("mosaic generate/spin require --seed")
+            error("mosaic generate/spin require --seed")
         if args.action != "entropy" and args.width is None:
-            parser.error("mosaic requires --w")
+            error("mosaic requires --w")
         if args.action == "entropy" and not args.widths:
-            parser.error("mosaic entropy requires --widths")
+            error("mosaic entropy requires --widths")
     if args.subcommand == "f2" and args.action == "search" and args.seed is None:
-        parser.error("f2 search requires --seed")
+        error("f2 search requires --seed")
+    if args.subcommand == "rankone" and args.action in ("correlate", "decompose"):
+        if args.spacers == "auto" and args.intervals is None:
+            error("--spacers auto needs --intervals")
     if args.subcommand == "rankone" and args.action == "decompose":
         if 0 in (args.mu_den, args.c_den):
-            parser.error("rankone decompose requires non-zero --mu-den and --c-den")
+            error("rankone decompose requires non-zero --mu-den and --c-den")
     t0 = time.monotonic()
     try:
         args.func(args)

@@ -14,7 +14,6 @@ then satisfies translate(translate(B, g), h) = translate(B, h*g).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,10 +44,6 @@ def reduce_word(letters: str) -> str:
 def multiply(u: str, v: str) -> str:
     """Reduced product of two reduced words."""
     return reduce_word(u + v)
-
-
-def inverse_word(u: str) -> str:
-    return u[::-1].translate(str.maketrans("abAB", "ABab"))
 
 
 def _shortlex_key(w: str) -> tuple[int, tuple[int, ...]]:
@@ -175,29 +170,8 @@ class RokhlinCertificate:
     """Disjointness verdict for the cross-shaped family of translates."""
 
     base: CylinderPatternSet
-    translates: tuple[CylinderPatternSet, ...]  # indexed like FAMILY
     verdict: bool
     measure: Fraction
-
-    def to_json(self, seed: int | None = None) -> str:
-        target = Fraction(1, 17)
-        payload = {
-            "window": list(self.base.window),
-            "assignments": sorted(self.base.assignments),
-            "measure": {
-                "num": self.measure.numerator,
-                "den": self.measure.denominator,
-            },
-            "verdict": self.verdict,
-            "upper_bound": {"num": 1, "den": 5},
-            "reference_target": {"num": 1, "den": 17},
-            "gap_to_target": {
-                "num": (target - self.measure).numerator,
-                "den": (target - self.measure).denominator,
-            },
-            "seed": seed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def verify_rokhlin_family(b: CylinderPatternSet) -> RokhlinCertificate:
@@ -207,7 +181,7 @@ def verify_rokhlin_family(b: CylinderPatternSet) -> RokhlinCertificate:
         disjoint(translates[i], translates[j])
         for i, j in combinations(range(len(FAMILY)), 2)
     )
-    return RokhlinCertificate(b, translates, verdict, b.measure)
+    return RokhlinCertificate(b, verdict, b.measure)
 
 
 class _FamilyConstraints:

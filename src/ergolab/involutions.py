@@ -68,21 +68,20 @@ def cycle_two_involutions(k: int) -> tuple[np.ndarray, np.ndarray]:
     return (1 - i) % k, -i % k
 
 
-def _reflections(cycles: np.ndarray, lengths: np.ndarray):
+def _reflections(p: np.ndarray, cycles: np.ndarray, lengths: np.ndarray):
     """Involutions (r1, r2) with r1(r2(x)) = P(x), by per-cycle reversal.
 
     `cycles` lists every atom once, cycle after cycle, each cycle in P's
     order from its anchor; `lengths` gives the cycle lengths. Position i of
-    a cycle of length m goes to -i (r2) and 1-i (r1) mod m.
+    a cycle of length m goes to -i mod m under r2; r2 is an involution, so
+    r1 = P after r2, which sends position i to 1-i mod m.
     """
     m = np.repeat(lengths, lengths)
     start = np.repeat(np.cumsum(lengths) - lengths, lengths)
     i = np.arange(cycles.size) - start
-    r1 = np.empty_like(cycles)
     r2 = np.empty_like(cycles)
     r2[cycles] = cycles[start + -i % m]
-    r1[cycles] = cycles[start + (1 - i) % m]
-    return r1, r2
+    return p[r2], r2
 
 
 def _pipeline_parts(sys: FinitePermutationSystem, height: int):
@@ -157,8 +156,10 @@ def factor_three_involutions(
         return InvolutionTriple(ident, ident, sys.map)
 
     _, _, _, big_s, p, cycles, lengths = _pipeline_parts(sys, height)
-    refl1, refl2 = _reflections(cycles, lengths)
+    refl1, refl2 = _reflections(p, cycles, lengths)
 
-    # conjugate S by P so the correcting product sits leftmost in the triple
-    s_first = perms.compose(p, perms.compose(big_s, perms.inverse(p)))
+    # conjugate S by P so the correcting product sits leftmost in the triple:
+    # P S P^-1 sends P(x) to P(S(x))
+    s_first = np.empty_like(p)
+    s_first[p] = p[big_s]
     return InvolutionTriple(s_first, refl1, refl2)

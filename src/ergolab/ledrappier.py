@@ -1,4 +1,4 @@
-"""Harmonic GF(2) fields on a cylinder: sampling, checks, threads, rendering.
+"""Harmonic GF(2) fields on a cylinder: sampling, checks and threads.
 
 A field assigns 0/1 to cells (x, y) with x wrapping modulo the width and y
 free; at every interior cell the value equals the mod-2 sum of its four
@@ -13,7 +13,6 @@ notion has no canonical definition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,12 +126,6 @@ class ThreadTrace:
     def length(self) -> int:
         return len(self.symbols)
 
-    def to_csv(self) -> str:
-        lines = ["step,symbol"]
-        for i, s in enumerate(self.symbols):
-            lines.append(f"{i},{s}")
-        return "\n".join(lines) + "\n"
-
 
 def trace_thread(
     field: HarmonicField, start: tuple[int, int], direction: str
@@ -197,14 +190,3 @@ def thread_statistics(field: HarmonicField, samples: int, seed: int) -> dict:
         "seed": seed,
     }
 
-
-def statistics_json(stats: dict) -> str:
-    return json.dumps(stats, sort_keys=True) + "\n"
-
-
-def render_pgm(field: HarmonicField, path: str) -> None:
-    """Binary PGM (P5), white (255) for value 1, black for 0."""
-    header = f"P5\n{field.width} {field.height}\n255\n".encode("ascii")
-    body = (field.cells * np.uint8(255)).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + body)

@@ -20,7 +20,6 @@ the reference the generator is tested against.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -207,36 +206,3 @@ def spin_map(mosaic: Mosaic) -> dict:
     diag = abs(plus - minus) / blues if blues else 0.0
     return {"spins": spins, "plus": plus, "minus": minus, "diagnostic": diag}
 
-
-def counts_json(width: int, height: int, k: int, count: int, adjacency: int) -> str:
-    return json.dumps(
-        {
-            "width": width,
-            "height": height,
-            "k": k,
-            "adjacency": adjacency,
-            "count": str(count),
-        },
-        sort_keys=True,
-    ) + "\n"
-
-
-def entropy_csv(rows: list[tuple[int, int, float]]) -> str:
-    lines = ["w,h,entropy_per_site"]
-    for w, h, e in rows:
-        lines.append(f"{w},{h},{e!r}")
-    return "\n".join(lines) + "\n"
-
-
-def render_ppm(mosaic: Mosaic, path: str) -> None:
-    """Binary PPM (P6): red tiles (255,0,0), blue cells (0,0,255)."""
-    header = f"P6\n{mosaic.width} {mosaic.height}\n255\n".encode("ascii")
-    body = bytearray()
-    for y in range(mosaic.height):
-        for x in range(mosaic.width):
-            if mosaic.cells[y][x] == BLUE:
-                body += b"\x00\x00\xff"
-            else:
-                body += b"\xff\x00\x00"
-    with open(path, "wb") as fh:
-        fh.write(header + bytes(body))

@@ -191,12 +191,6 @@ class CorrelationSeries:
     def value(self, n: int) -> Fraction:
         return self.entries[n][1]
 
-    def to_csv(self) -> str:
-        lines = ["n,numerator,denominator"]
-        for n, v in self.entries:
-            lines.append(f"{n},{v.numerator},{v.denominator}")
-        return "\n".join(lines) + "\n"
-
 
 def correlation_series(
     spec: RankOneSpec, a: LevelSet, n_max: int, stage: int | None = None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -90,10 +90,3 @@ def roth_witness(
         raise ValueError("witness requires a set of positive measure")
     counts = _triple_counts(sys, a, a, a, i_max)
     return next((i for i, c in enumerate(counts, start=1) if c), None)
-
-
-def series_csv(rows: Sequence[tuple[int, Fraction]]) -> str:
-    lines = ["i,numerator,denominator"]
-    for i, v in rows:
-        lines.append(f"{i},{v.numerator},{v.denominator}")
-    return "\n".join(lines) + "\n"

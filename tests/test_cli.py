@@ -224,7 +224,7 @@ def test_f2_search_at_radius_one_is_a_domain_error(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tower", "--n", "12", "--out", "x.json"])  # missing --h
     assert exc.value.code == 2
@@ -247,6 +247,36 @@ def test_usage_errors_exit_2(capsys):
             main(["rankone", "decompose", "--spacers", "1,1", "--times", "3",
                   den, "0", "--out", "x.json"])
         assert exc.value.code == 2
+    capsys.readouterr()
+    # one malformed value per list flag: argparse names the flag
+    out = str(tmp_path / "x.out")
+    correlate = ["rankone", "correlate", "--n-max", "5"]
+    cases = [
+        ("--y", ["tower", "--n", "12", "--h", "3", "--y", "1,x"]),
+        ("--A", ["recurrence", "average", "--n", "5", "--A", "a", "--N", "3"]),
+        ("--A1", ["recurrence", "profile", "--n", "5", "--A", "0", "--A1", "0,b",
+                  "--N", "3"]),
+        ("--A2", ["recurrence", "witness", "--n", "5", "--A", "0", "--A2", "1.5",
+                  "--N", "3"]),
+        ("--sequence", ["rankone", "gaps", "--sequence", "1,x", "--count", "1"]),
+        ("--times", ["rankone", "decompose", "--spacers", "1,1", "--times", "3,t"]),
+        ("--widths", ["mosaic", "entropy", "--widths", "2,q", "--h", "4", "--k", "2"]),
+        ("--intervals", ["rankone", "design", "--intervals", "1-5"]),
+        ("--intervals", ["rankone", "decompose", "--intervals", "1:5,7", "--times", "3"]),
+        ("--spacers", correlate + ["--spacers", "1,two", "--A", "2:0"]),
+        ("--A", correlate + ["--spacers", "1,1", "--A", "level"]),
+        ("--A", correlate + ["--spacers", "1,1", "--A", "s:0"]),
+        ("--A", correlate + ["--spacers", "1,1", "--A", "level:0,x"]),
+        ("--start", ["ledrappier", "trace", "--n", "8", "--m", "8", "--seed", "1",
+                     "--start", "1,y"]),
+        ("--intervals", correlate + ["--A", "level:0"]),  # --spacers auto needs it
+    ]
+    for flag, argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", out])
+        assert exc.value.code == 2, argv
+        assert flag in capsys.readouterr().err, argv
+    assert not list(tmp_path.iterdir())
 
 
 def test_seeded_reruns_are_byte_identical(tmp_path):
@@ -268,6 +298,8 @@ def reference_json(payload) -> str:
 
 
 def test_json_writer_matches_json_dumps_on_every_payload(tmp_path, monkeypatch):
+    """Every JSON output and every manifest goes through `_write_json` and
+    reads back as json.dumps(sort_keys=True, indent=2) writes it."""
     written = []
     write_json = cli._write_json
 
@@ -279,7 +311,7 @@ def test_json_writer_matches_json_dumps_on_every_payload(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_json", checked)
     intervals = "100:200,1000:2000"
-    runs = [
+    json_runs = [
         ["tower", "--n", "40", "--h", "7"],
         ["tower", "--n", "8", "--h", "3", "--y", "0,4"],
         ["involutions", "--n", "300", "--seed", "5"],
@@ -292,10 +324,27 @@ def test_json_writer_matches_json_dumps_on_every_payload(tmp_path, monkeypatch):
         # 2**(k+1) < 64 gives int keys 0..4 in power_checks
         ["ledrappier", "verify", "--n", "64", "--m", "64", "--seed", "3"],
         ["mosaic", "spin", "--w", "1", "--h", "1", "--k", "2", "--seed", "1"],
+        ["mosaic", "count", "--w", "6", "--h", "4", "--k", "2"],
+        ["ledrappier", "stats", "--n", "32", "--m", "32", "--seed", "3"],
+        ["f2", "verify", "--radius", "1"],
+        ["f2", "search", "--radius", "2", "--budget", "300", "--seed", "4"],
     ]
-    for i, argv in enumerate(runs):
-        assert run(argv + ["--out", str(tmp_path / f"{i}.json")]) == 0
-    assert len(written) == len(runs)
+    # outputs in other formats; only their manifests are JSON
+    other_runs = [
+        ["rankone", "correlate", "--intervals", intervals, "--A", "level:5",
+         "--n-max", "20"],
+        ["recurrence", "profile", "--n", "9", "--A", "0,1", "--A2", "4", "--N", "4"],
+        ["ledrappier", "sample", "--n", "8", "--m", "8", "--seed", "3"],
+        ["ledrappier", "trace", "--n", "64", "--m", "64", "--seed", "3",
+         "--start", "23,32"],
+        ["mosaic", "generate", "--w", "4", "--h", "4", "--k", "2", "--seed", "1"],
+        ["mosaic", "entropy", "--widths", "2,4", "--h", "4", "--k", "2"],
+    ]
+    for i, argv in enumerate(json_runs + other_runs):
+        assert run(argv + ["--out", str(tmp_path / f"{i}.out")]) == 0
+    manifests = [p for p in written if p.endswith(".manifest.json")]
+    assert len(manifests) == len(json_runs) + len(other_runs)
+    assert len(written) == len(manifests) + len(json_runs)
 
 
 def test_json_writer_matches_json_dumps_on_synthetic_payloads():

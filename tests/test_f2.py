@@ -1,10 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from ergolab import f2
+from ergolab import cli, f2
 from ergolab.errors import CapExceeded
 
 
@@ -35,8 +36,6 @@ def test_multiply_examples():
     assert f2.multiply("a", "b") == "ab"
     assert f2.multiply("aB", "ba") == "aa"
     assert f2.multiply("", "") == ""
-    assert f2.inverse_word("ab") == "BA"
-    assert f2.multiply("ab", f2.inverse_word("ab")) == ""
 
 
 def test_reduce_rejects_bad_letters():
@@ -159,10 +158,11 @@ def test_search_radius_cap():
 
 
 def test_certificate_json_reports_gap(tmp_path):
-    import json
-
+    out = tmp_path / "cert.json"
+    assert cli.main(["f2", "search", "--radius", "2", "--budget", "200", "--seed", "3",
+                     "--out", str(out)]) == 0
     cert = f2.search_best(2, 200, seed=3)
-    payload = json.loads(cert.to_json(3))
+    payload = json.loads(out.read_text())
     assert payload["upper_bound"] == {"num": 1, "den": 5}
     assert payload["reference_target"] == {"num": 1, "den": 17}
     gap = Fraction(payload["gap_to_target"]["num"], payload["gap_to_target"]["den"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ergolab import cli
 from ergolab import ledrappier as led
 
 
@@ -157,21 +158,29 @@ def test_statistics_reproducible():
     assert 0.0 <= s1["coverage_fraction"] <= 1.0
 
 
-def test_render_pgm(tmp_path):
-    f = led.field_from_rows([0, 0, 0], [0, 0, 0], 2)
+def test_render_pgm(tmp_path, monkeypatch):
     path = tmp_path / "zero.pgm"
-    led.render_pgm(f, str(path))
+    sampled = led.sample_field(17, 9, 4)
+
+    def render_pgm(f):
+        # `ledrappier sample` writes the field its sampler returns
+        monkeypatch.setattr(led, "sample_field", lambda width, height, seed: f)
+        argv = ["ledrappier", "sample", "--n", str(f.width), "--m", str(f.height),
+                "--seed", "0", "--out", str(path)]
+        assert cli.main(argv) == 0
+
+    render_pgm(led.field_from_rows([0, 0, 0], [0, 0, 0], 2))
     data = path.read_bytes()
     assert data == b"P5\n3 2\n255\n" + b"\x00" * 6
 
     cells = np.zeros((2, 3), dtype=np.uint8)
     cells[1, 2] = 1
-    led.render_pgm(led.HarmonicField(cells), str(path))
+    render_pgm(led.HarmonicField(cells))
     body = path.read_bytes().split(b"255\n", 1)[1]
     assert body.count(b"\xff") == 1 and len(body) == 6
+    assert body == b"\x00" * 5 + b"\xff"
 
-    f = led.sample_field(17, 9, 4)
-    led.render_pgm(f, str(path))
+    render_pgm(sampled)
     body = path.read_bytes().split(b"255\n", 1)[1]
     assert len(body) == 17 * 9
 

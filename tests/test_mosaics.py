@@ -1,5 +1,6 @@
 import pytest
 
+from ergolab import cli
 from ergolab import mosaics as mo
 from ergolab.errors import CapExceeded, Infeasible
 
@@ -178,17 +179,21 @@ def test_spin_map():
 
 def test_render_ppm(tmp_path):
     path = tmp_path / "m.ppm"
-    m = mo.Mosaic(1, 1, 2, ((BLUE,),))
-    mo.render_ppm(m, str(path))
+
+    def render_ppm(w, h, k):
+        argv = ["mosaic", "generate", "--w", str(w), "--h", str(h), "--k", str(k),
+                "--seed", "0", "--out", str(path)]
+        assert cli.main(argv) == 0
+
+    assert mo.generate_mosaic(1, 1, 2) == mo.Mosaic(1, 1, 2, ((BLUE,),))
+    render_ppm(1, 1, 2)
     assert path.read_bytes() == b"P6\n1 1\n255\n\x00\x00\xff"
 
-    m = mo.generate_mosaic(3, 3, 3)
-    mo.render_ppm(m, str(path))
+    render_ppm(3, 3, 3)
     body = path.read_bytes().split(b"255\n", 1)[1]
     assert body == b"\xff\x00\x00" * 9
 
-    m = mo.generate_mosaic(6, 4, 2)
-    mo.render_ppm(m, str(path))
+    render_ppm(6, 4, 2)
     body = path.read_bytes().split(b"255\n", 1)[1]
     assert len(body) == 3 * 6 * 4
 

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from ergolab import cli
 from ergolab import rank_one as r1
 from ergolab.errors import DesignError
 
@@ -113,15 +114,22 @@ def test_correlation_against_occupancy_oracle():
             assert got == correlation_oracle(spec, a, n, stage), (a, n)
 
 
-def test_correlation_series_matches_pointwise():
+def test_correlation_series_matches_pointwise(tmp_path):
     spec = geometric_spec(9)
     a = r1.LevelSet(2, frozenset([0, 1]))
     series = r1.correlation_series(spec, a, 120)
     for n in range(121):
         assert series.value(n) == correlation_oracle(spec, a, n, 8)
-    csv = series.to_csv()
+    out = tmp_path / "corr.csv"
+    spacers = ",".join(map(str, spec.spacers))
+    assert cli.main(["rankone", "correlate", "--h1", "1", "--spacers", spacers,
+                     "--A", "2:0,1", "--n-max", "120", "--out", str(out)]) == 0
+    csv = out.read_text()
     assert csv.splitlines()[0] == "n,numerator,denominator"
     assert csv.splitlines()[1] == f"0,{a.measure().numerator},{a.measure().denominator}"
+    assert csv.splitlines()[1:] == [
+        f"{n},{v.numerator},{v.denominator}" for n, v in series.entries
+    ]
 
 
 def series_oracle(spec, a, n_max, stage):
