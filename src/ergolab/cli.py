@@ -247,8 +247,8 @@ def _cmd_rankone_gaps(args) -> None:
 def _cmd_recurrence(args) -> None:
     sys_ = core.FinitePermutationSystem.cycle(args.n)
     a = sys_.subset(args.a)
-    a1 = sys_.subset(args.a1) if args.a1 else a
-    a2 = sys_.subset(args.a2) if args.a2 else a
+    a1 = sys_.subset(args.a1) if args.a1 is not None else a
+    a2 = sys_.subset(args.a2) if args.a2 is not None else a
     if args.action == "average":
         avg = rec.furstenberg_average(sys_, a, a1, a2, args.horizon)
         payload = {
@@ -262,11 +262,8 @@ def _cmd_recurrence(args) -> None:
         payload = {"witness": w, "i_max": args.horizon}
         _write_json(args.out, payload)
     else:  # profile
-        values = (
-            (i, rec.triple_intersection(sys_, a, a1, a2, i))
-            for i in range(1, args.horizon + 1)
-        )
-        _write_fractions(args.out, "i", values)
+        values = rec.triple_profile(sys_, a, a1, a2, args.horizon)
+        _write_fractions(args.out, "i", enumerate(values, start=1))
 
 
 def _cmd_ledrappier(args) -> None:

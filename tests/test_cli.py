@@ -155,6 +155,37 @@ def test_recurrence_commands(tmp_path):
     assert out3.read_text().splitlines()[0] == "i,numerator,denominator"
 
 
+def test_recurrence_explicit_empty_sets_are_used(tmp_path):
+    # an empty --A1 or --A2 is the empty set, not "default to A"
+    out = tmp_path / "avg.json"
+    argv = ["recurrence", "average", "--n", "10", "--A", "1,2", "--N", "3"]
+    assert run(argv + ["--A1", "", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["product"] == {"num": 0, "den": 1}
+    assert payload["value"] == {"num": 0, "den": 1}
+    manifest = json.loads((tmp_path / "avg.json.manifest.json").read_text())
+    assert manifest["parameters"]["a1"] == []
+
+    out2 = tmp_path / "prof.csv"
+    argv = ["recurrence", "profile", "--n", "4", "--A", "0,1,2,3", "--N", "2"]
+    assert run(argv + ["--out", str(out2)]) == 0
+    assert out2.read_text().splitlines()[1:] == ["1,1,1", "2,1,1"]
+    assert run(argv + ["--A2", "", "--out", str(out2)]) == 0
+    assert out2.read_text().splitlines()[1:] == ["1,0,1", "2,0,1"]
+
+
+def test_recurrence_horizon_below_one_is_a_domain_error(tmp_path, capsys):
+    for action in ("average", "witness", "profile"):
+        for horizon in ("0", "-3"):
+            out = tmp_path / f"{action}{horizon}.out"
+            assert run(
+                ["recurrence", action, "--n", "9", "--A", "0,1", "--N", horizon,
+                 "--out", str(out)]
+            ) == 1
+            assert "horizon must be at least 1" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_ledrappier_commands(tmp_path):
     img = tmp_path / "f.pgm"
     assert run(

@@ -1,7 +1,9 @@
 import math
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ergolab import recurrence as rec
@@ -155,3 +157,108 @@ def test_average_concentrates_for_random_sets_on_prime_rotation():
         avg = rec.furstenberg_average(sys_, a, a1, a2, n)
         product = a.measure * a1.measure * a2.measure
         assert abs(avg.value - product) <= Fraction(3) / int(math.isqrt(n))
+
+
+def _is_single_cycle(sys_):
+    try:
+        sys_.walk()
+    except ValueError:
+        return False
+    return True
+
+
+def test_engine_matches_brute_force_on_every_path():
+    rng = random.Random(1111)
+    given = FinitePermutationSystem(FinitePermutationSystem.random_cycle(14, 2).map.tolist())
+    pair = rotation_pair_system(4, 5)
+    assert given._order is None and pair._order is None  # walked on first use
+    systems = (
+        [FinitePermutationSystem.cycle(n) for n in (1, 2, 7, 12)]
+        + [FinitePermutationSystem.random_cycle(n, n + 40) for n in (1, 5, 13, 24)]
+        + [given, pair, rotation_pair_system(4, 6)]
+        + [random_system(n, seed=n + 7) for n in (2, 9, 16, 21)]
+    )
+    paths = {_is_single_cycle(s) for s in systems}
+    assert paths == {True, False}
+    for sys_ in systems:
+        n = sys_.n
+        horizon = 2 * n + 3  # past n and 2n: both rotations wrap
+        drawn = [sys_.subset(random_subset(n, rng.randrange(10**9))) for _ in range(3)]
+        empty, full = sys_.subset([]), sys_.subset(range(n))
+        for a, a1, a2 in (drawn, (drawn[0], empty, drawn[2]), (full, full, empty), (full,) * 3):
+            expect = [brute_triple(sys_, a, a1, a2, i) for i in range(1, horizon + 1)]
+            assert rec.triple_profile(sys_, a, a1, a2, horizon) == expect, n
+            for n_h in (1, n, horizon):
+                avg = rec.furstenberg_average(sys_, a, a1, a2, n_h)
+                assert avg.value == sum(expect[:n_h]) / n_h, (n, n_h)
+            for i in (0, -1, -3, -(n + 2), 2 * n + 5):
+                assert rec.triple_intersection(sys_, a, a1, a2, i) == brute_triple(
+                    sys_, a, a1, a2, i
+                ), (n, i)
+            if len(a):
+                hits = [
+                    i for i in range(1, horizon + 1) if brute_triple(sys_, a, a, a, i)
+                ]
+                for i_max in range(1, horizon + 1):
+                    expected = next((i for i in hits if i <= i_max), None)
+                    assert rec.roth_witness(sys_, a, i_max) == expected, (n, i_max)
+
+
+def test_horizon_below_one_raises():
+    z5 = FinitePermutationSystem.cycle(5)
+    a = z5.subset([0, 2])
+    for n_h in (0, -3):
+        for call in (
+            lambda: rec.furstenberg_average(z5, a, a, a, n_h),
+            lambda: rec.roth_witness(z5, a, n_h),
+            lambda: rec.triple_profile(z5, a, a, a, n_h),
+        ):
+            with pytest.raises(ValueError, match="horizon must be at least 1"):
+                call()
+
+
+def _gather_count(sys_, a, a1, a2, i):
+    """n * mu(A & T^i A1 & T^2i A2) for i >= 0, with T^-i built by squaring
+    the inverse map: numpy gathers only."""
+    n = sys_.n
+    inv = np.empty(n, dtype=np.int64)
+    inv[sys_.map] = np.arange(n)
+    back, step = np.arange(n), inv
+    while i:
+        if i & 1:
+            back = step[back]
+        step, i = step[step], i >> 1
+    y = back[np.fromiter(a.members, dtype=np.int64)]
+    return int(np.count_nonzero(a1.mask()[y] & a2.mask()[back[y]]))
+
+
+def _gather_total(sys_, a, a1, a2, n_horizon):
+    """Sum of n * mu(A & T^i A1 & T^2i A2) over i = 1..n_horizon, stepping
+    the atoms of A back one time at a time."""
+    inv = np.empty(sys_.n, dtype=np.int64)
+    inv[sys_.map] = np.arange(sys_.n)
+    in1, in2 = a1.mask(), a2.mask()
+    y = z = np.fromiter(a.members, dtype=np.int64)
+    total = 0
+    for _ in range(n_horizon):
+        y, z = inv[y], inv[inv[z]]
+        total += int(np.count_nonzero(in1[y] & in2[z]))
+    return total
+
+
+def test_exact_and_within_budget_at_scale():
+    n = 10**5
+    rng = np.random.default_rng(2024)
+    for sys_ in (FinitePermutationSystem.cycle(n), FinitePermutationSystem.random_cycle(n, 9)):
+        a, a1, a2 = (
+            sys_.subset(np.flatnonzero(rng.random(n) < 0.3).tolist()) for _ in range(3)
+        )
+        for i in (1, 2, n // 2, n - 1, n, 2 * n + 3):
+            assert rec.triple_intersection(sys_, a, a1, a2, i) == Fraction(
+                _gather_count(sys_, a, a1, a2, i), n
+            ), i
+        t0 = time.perf_counter()
+        avg = rec.furstenberg_average(sys_, a, a1, a2, 2000)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 0.5, elapsed
+        assert avg.value == Fraction(_gather_total(sys_, a, a1, a2, 2000), n * 2000)
