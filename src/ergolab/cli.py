@@ -6,8 +6,13 @@ arguments and seed produce byte-identical primary outputs; only the wall
 time in the manifest may differ. Exit codes: 0 success, 1 domain error,
 2 usage error.
 
+Each action has its own sub-parser, so argparse refuses a flag the action
+does not read (exit 2) and the manifest records only the flags it reads.
+
 This is the only module that formats output or writes files; the library
-modules return values. Three writers produce every file:
+modules return values. Each `_cmd_*` handler returns a writer and its data,
+(writer, *data), and `main` alone writes: the primary output through that
+writer, then the manifest. Three writers produce every file:
   _write_json  json.dumps(sort_keys=True, indent=2) and a newline: every
                JSON output and every manifest;
   _write_csv   a header line, then one comma-separated line per row;
@@ -30,22 +35,6 @@ from . import __version__, core, f2, involutions, ledrappier, mosaics
 from . import rank_one as r1
 from . import recurrence as rec
 from .errors import ErgolabError
-
-
-def _write_manifest(out: str, sub: str, params: dict, seed, t0: float) -> None:
-    manifest = {
-        "subcommand": sub,
-        "parameters": params,
-        "seed": seed,
-        "versions": {
-            "ergolab": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "outputs": [out],
-        "wall_time_s": time.monotonic() - t0,
-    }
-    _write_json(out + ".manifest.json", manifest)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -113,17 +102,31 @@ def _frac(v: Fraction) -> dict:
     return {"num": v.numerator, "den": v.denominator}
 
 
-def _write_fractions(path: str, index: str, pairs) -> None:
+def _fraction_rows(index: str, pairs) -> tuple:
     """(i, value) pairs as CSV rows i, numerator, denominator."""
     rows = ((i, v.numerator, v.denominator) for i, v in pairs)
-    _write_csv(path, (index, "numerator", "denominator"), rows)
+    return _write_csv, (index, "numerator", "denominator"), rows
 
 
-# argparse converters for the list flags: a ValueError from one is a usage
+# argparse converters: a ValueError or ArgumentTypeError from one is a usage
 # error (exit 2) that names the flag
 def _ints(text: str) -> list[int]:
     """Comma-separated integers; empty items are skipped."""
     return [int(tok) for tok in text.split(",") if tok != ""]
+
+
+def _widths(text: str) -> list[int]:
+    widths = _ints(text)
+    if not widths:
+        raise argparse.ArgumentTypeError("needs at least one width")
+    return widths
+
+
+def _nonzero(text: str) -> int:
+    value = int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be non-zero")
+    return value
 
 
 def _intervals(text: str) -> list[tuple[int, int]]:
@@ -152,7 +155,7 @@ def _point(text: str) -> tuple[int, int]:
     return x, y
 
 
-def _cmd_tower(args) -> None:
+def _cmd_tower(args) -> tuple:
     sys_ = core.FinitePermutationSystem.cycle(args.n)
     if args.y is not None:
         tower = core.lehrer_weiss_tower(sys_, args.height, sys_.subset(args.y))
@@ -166,10 +169,10 @@ def _cmd_tower(args) -> None:
         "residual_measure": _frac(tower.residual.measure),
         "valid": core.validate_tower(sys_, tower),
     }
-    _write_json(args.out, payload)
+    return _write_json, payload
 
 
-def _cmd_involutions(args) -> None:
+def _cmd_involutions(args) -> tuple:
     if args.seed is not None:
         sys_ = core.FinitePermutationSystem.random_cycle(args.n, args.seed)
     else:
@@ -183,7 +186,7 @@ def _cmd_involutions(args) -> None:
         "s3": triple.s3.tolist(),
         "verified": triple.verify(sys_.map),
     }
-    _write_json(args.out, payload)
+    return _write_json, payload
 
 
 def _rankone_spec(args) -> r1.RankOneSpec:
@@ -192,7 +195,7 @@ def _rankone_spec(args) -> r1.RankOneSpec:
     return r1.RankOneSpec(args.h1, tuple(args.spacers))
 
 
-def _cmd_rankone_design(args) -> None:
+def _cmd_rankone_design(args) -> tuple:
     design = r1.design_spacers(args.intervals, args.h1)
     payload = {
         "h1": design.spec.h1,
@@ -200,20 +203,20 @@ def _cmd_rankone_design(args) -> None:
         "heights": list(design.heights),
         "selected_intervals": list(design.selected),
     }
-    _write_json(args.out, payload)
+    return _write_json, payload
 
 
-def _cmd_rankone_correlate(args) -> None:
+def _cmd_rankone_correlate(args) -> tuple:
     spec = _rankone_spec(args)
     stage = args.a["stage"]
     if stage is None:
         stage = spec.max_stage if args.stage is None else args.stage
     a = r1.LevelSet(stage, frozenset(args.a["levels"]))
     series = r1.correlation_series(spec, a, args.n_max)
-    _write_fractions(args.out, "n", series.entries)
+    return _fraction_rows("n", series.entries)
 
 
-def _cmd_rankone_decompose(args) -> None:
+def _cmd_rankone_decompose(args) -> tuple:
     spec = _rankone_spec(args)
     hs = r1.heights(spec, spec.max_stage)
     mu = Fraction(args.mu_num, args.mu_den)
@@ -221,83 +224,62 @@ def _cmd_rankone_decompose(args) -> None:
     rows = []
     for n in args.times:
         dec = r1.nonmixing_decomposition(n, hs, c, mu, args.remainder_cap)
-        if dec is None:
-            rows.append({"n": n, "decomposition": None})
-        else:
-            rows.append(
-                {
-                    "n": n,
-                    "decomposition": [
-                        {"sign": s, "stage": j, "height": hs[j - 1]}
-                        for s, j in dec.terms
-                    ],
-                    "remainder": dec.remainder,
-                    "term_bound": dec.term_bound,
-                }
-            )
-    _write_json(args.out, rows)
+        row = {"n": n, "decomposition": None}
+        if dec is not None:
+            row["decomposition"] = [
+                {"sign": s, "stage": j, "height": hs[j - 1]} for s, j in dec.terms
+            ]
+            row.update(remainder=dec.remainder, term_bound=dec.term_bound)
+        rows.append(row)
+    return _write_json, rows
 
 
-def _cmd_rankone_gaps(args) -> None:
+def _cmd_rankone_gaps(args) -> tuple:
     gaps = r1.gap_intervals(args.sequence, args.count)
-    payload = [{"lo": lo, "hi": hi} for lo, hi in gaps]
-    _write_json(args.out, payload)
+    return _write_json, [{"lo": lo, "hi": hi} for lo, hi in gaps]
 
 
-def _cmd_recurrence(args) -> None:
+def _cmd_recurrence(args) -> tuple:
     sys_ = core.FinitePermutationSystem.cycle(args.n)
     a = sys_.subset(args.a)
+    if args.action == "witness":
+        w = rec.roth_witness(sys_, a, args.horizon)
+        return _write_json, {"witness": w, "i_max": args.horizon}
     a1 = sys_.subset(args.a1) if args.a1 is not None else a
     a2 = sys_.subset(args.a2) if args.a2 is not None else a
-    if args.action == "average":
-        avg = rec.furstenberg_average(sys_, a, a1, a2, args.horizon)
-        payload = {
-            "N": avg.n_horizon,
-            "value": _frac(avg.value),
-            "product": _frac(avg.product),
-        }
-        _write_json(args.out, payload)
-    elif args.action == "witness":
-        w = rec.roth_witness(sys_, a, args.horizon)
-        payload = {"witness": w, "i_max": args.horizon}
-        _write_json(args.out, payload)
-    else:  # profile
+    if args.action == "profile":
         values = rec.triple_profile(sys_, a, a1, a2, args.horizon)
-        _write_fractions(args.out, "i", enumerate(values, start=1))
+        return _fraction_rows("i", enumerate(values, start=1))
+    avg = rec.furstenberg_average(sys_, a, a1, a2, args.horizon)
+    value, product = _frac(avg.value), _frac(avg.product)
+    return _write_json, {"N": avg.n_horizon, "value": value, "product": product}
 
 
-def _cmd_ledrappier(args) -> None:
+def _cmd_ledrappier(args) -> tuple:
     field = ledrappier.sample_field(args.width, args.m, args.seed)
     if args.action == "sample":
         # white (255) for value 1, black for 0
-        _write_pnm(args.out, "P5", field.cells * np.uint8(255))
-    elif args.action == "verify":
-        ok = ledrappier.verify_harmonicity(field)
-        powers = {}
-        k = 0
-        while 2 ** (k + 1) < min(args.width, args.m):
-            powers[k] = ledrappier.power_identity_check(field, k)
-            k += 1
-        payload = {"harmonic": ok, "power_checks": powers}
-        _write_json(args.out, payload)
-    elif args.action == "trace":
+        return _write_pnm, "P5", field.cells * np.uint8(255)
+    if args.action == "trace":
         trace = ledrappier.trace_thread(field, args.start, args.direction)
-        _write_csv(args.out, ("step", "symbol"), enumerate(trace.symbols))
-    else:  # stats
-        stats = ledrappier.thread_statistics(field, args.samples, args.seed)
-        _write_json(args.out, stats)
+        return _write_csv, ("step", "symbol"), enumerate(trace.symbols)
+    if args.action == "stats":
+        return _write_json, ledrappier.thread_statistics(field, args.samples, args.seed)
+    ok = ledrappier.verify_harmonicity(field)
+    powers = {}
+    k = 0
+    while 2 ** (k + 1) < min(args.width, args.m):
+        powers[k] = ledrappier.power_identity_check(field, k)
+        k += 1
+    return _write_json, {"harmonic": ok, "power_checks": powers}
 
 
 # PPM colours, indexed by "is blue": red tiles, blue cells
 _MOSAIC_RGB = np.array([[255, 0, 0], [0, 0, 255]], dtype=np.uint8)
 
 
-def _cmd_mosaic(args) -> None:
-    if args.action == "generate":
-        mosaic = mosaics.generate_mosaic(args.width, args.m, args.k, args.adjacency)
-        blue = np.array(mosaic.cells) == mosaics.BLUE
-        _write_pnm(args.out, "P6", _MOSAIC_RGB[blue.astype(np.intp)])
-    elif args.action == "count":
+def _cmd_mosaic(args) -> tuple:
+    if args.action == "count":
         c = mosaics.count_mosaics(args.width, args.m, args.k, args.adjacency)
         payload = {
             "width": args.width,
@@ -306,23 +288,20 @@ def _cmd_mosaic(args) -> None:
             "adjacency": args.adjacency,
             "count": str(c),
         }
-        _write_json(args.out, payload)
-    elif args.action == "entropy":
+        return _write_json, payload
+    if args.action == "entropy":
         sizes = [(w, args.m) for w in args.widths]
         rows = mosaics.entropy_profile(sizes, args.k, args.adjacency)
-        _write_csv(args.out, ("w", "h", "entropy_per_site"), rows)
-    else:  # spin
-        mosaic = mosaics.generate_mosaic(args.width, args.m, args.k, args.adjacency)
-        result = mosaics.spin_map(mosaic)
-        payload = {
-            "plus": result["plus"],
-            "minus": result["minus"],
-            "diagnostic": result["diagnostic"],
-        }
-        _write_json(args.out, payload)
+        return _write_csv, ("w", "h", "entropy_per_site"), rows
+    mosaic = mosaics.generate_mosaic(args.width, args.m, args.k, args.adjacency)
+    if args.action == "generate":
+        blue = np.array(mosaic.cells) == mosaics.BLUE
+        return _write_pnm, "P6", _MOSAIC_RGB[blue.astype(np.intp)]
+    result = mosaics.spin_map(mosaic)  # spin
+    return _write_json, {k: result[k] for k in ("plus", "minus", "diagnostic")}
 
 
-def _cmd_f2(args) -> None:
+def _cmd_f2(args) -> tuple:
     if args.action == "verify":
         cert, seed = f2.verify_rokhlin_family(f2.local_peak(args.radius)), None
     else:  # search
@@ -338,7 +317,7 @@ def _cmd_f2(args) -> None:
         "gap_to_target": _frac(target - cert.measure),
         "seed": seed,
     }
-    _write_json(args.out, payload)
+    return _write_json, payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,105 +327,116 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("tower", help="Rokhlin / prescribed-roof towers")
+    # parent parsers hold the flags that several actions share
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+
+    def leaf(subs, name: str, *parents, help=None):
+        """An action's parser: the flags of `parents`, then --out. A prefix
+        is not taken for a flag, so entropy's --widths does not read --w."""
+        return subs.add_parser(name, parents=[*parents, out], help=help,
+                               allow_abbrev=False)
+
+    def actions(name: str, help: str, func=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p.add_subparsers(dest="action", required=True)
+
+    p = leaf(sub, "tower", help="Rokhlin / prescribed-roof towers")
     p.add_argument("--n", type=int, required=True, help="cycle length")
     p.add_argument("--h", dest="height", type=int, required=True, help="tower height")
     p.add_argument("--y", type=_ints, help="atoms allowed to hold the roof: a,b,...")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_tower, seed=None)
+    p.set_defaults(func=_cmd_tower)
 
-    p = sub.add_parser("involutions", help="three-involution factorization")
+    p = leaf(sub, "involutions", help="three-involution factorization")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--height", type=int, default=11)
     p.add_argument("--seed", type=int, help="random single cycle (default: standard)")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_involutions)
 
-    p = sub.add_parser("rankone", help="rank-one construction tools")
-    acts = p.add_subparsers(dest="action", required=True)
-
-    pa = acts.add_parser("design", help="fit spacers to interval midpoints")
+    acts = actions("rankone", "rank-one construction tools")
+    pa = leaf(acts, "design", help="fit spacers to interval midpoints")
     pa.add_argument("--h1", type=int, default=1)
     pa.add_argument("--intervals", type=_intervals, required=True, help="lo:hi,...")
-    pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_rankone_design, seed=None)
+    pa.set_defaults(func=_cmd_rankone_design)
 
-    pa = acts.add_parser("correlate", help="exact correlation series CSV")
-    pa.add_argument("--h1", type=int, default=1)
-    pa.add_argument("--spacers", type=_spacers, default="auto",
-                    help="'auto' or s1,s2,...")
-    pa.add_argument("--intervals", type=_intervals, help="lo:hi,... for --spacers auto")
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--h1", type=int, default=1)
+    spec.add_argument("--spacers", type=_spacers, default="auto",
+                      help="'auto' or s1,s2,...")
+    spec.add_argument("--intervals", type=_intervals,
+                      help="lo:hi,... for --spacers auto")
+
+    pa = leaf(acts, "correlate", spec, help="exact correlation series CSV")
     pa.add_argument("--A", dest="a", type=_level_set, required=True,
                     help="'level:5' or 'stage:5,7'")
     pa.add_argument("--stage", type=int, help="stage of the level set")
     pa.add_argument("--n-max", dest="n_max", type=int, required=True)
-    pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_rankone_correlate, seed=None)
+    pa.set_defaults(func=_cmd_rankone_correlate)
 
-    pa = acts.add_parser("decompose", help="signed-height decompositions")
-    pa.add_argument("--h1", type=int, default=1)
-    pa.add_argument("--spacers", type=_spacers, default="auto")
-    pa.add_argument("--intervals", type=_intervals)
+    pa = leaf(acts, "decompose", spec, help="signed-height decompositions")
     pa.add_argument("--times", type=_ints, required=True, help="comma-separated times")
     pa.add_argument("--mu-num", type=int, default=1)
-    pa.add_argument("--mu-den", type=int, default=1)
+    pa.add_argument("--mu-den", type=_nonzero, default=1)
     pa.add_argument("--c-num", type=int, default=1)
-    pa.add_argument("--c-den", type=int, default=4)
+    pa.add_argument("--c-den", type=_nonzero, default=4)
     pa.add_argument("--remainder-cap", type=int, default=0)
-    pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_rankone_decompose, seed=None)
+    pa.set_defaults(func=_cmd_rankone_decompose)
 
-    pa = acts.add_parser("gaps", help="intervals inside gaps of a sequence")
+    pa = leaf(acts, "gaps", help="intervals inside gaps of a sequence")
     pa.add_argument("--sequence", type=_ints, required=True, help="increasing: a,b,...")
     pa.add_argument("--count", type=int, required=True)
-    pa.add_argument("--out", required=True)
-    pa.set_defaults(func=_cmd_rankone_gaps, seed=None)
+    pa.set_defaults(func=_cmd_rankone_gaps)
 
-    p = sub.add_parser("recurrence", help="triple intersections and averages")
-    p.add_argument("action", choices=["average", "witness", "profile"])
-    p.add_argument("--n", type=int, required=True, help="rotation size")
-    p.add_argument("--A", dest="a", type=_ints, required=True, help="atoms: a,b,...")
-    p.add_argument("--A1", dest="a1", type=_ints)
-    p.add_argument("--A2", dest="a2", type=_ints)
-    p.add_argument("--N", dest="horizon", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_recurrence, seed=None)
+    sets = argparse.ArgumentParser(add_help=False)
+    sets.add_argument("--n", type=int, required=True, help="rotation size")
+    sets.add_argument("--A", dest="a", type=_ints, required=True, help="atoms: a,b,...")
+    sets.add_argument("--N", dest="horizon", type=int, required=True)
+    acts = actions("recurrence", "triple intersections and averages", _cmd_recurrence)
+    for action in ("average", "witness", "profile"):
+        pa = leaf(acts, action, sets)
+        if action != "witness":
+            pa.add_argument("--A1", dest="a1", type=_ints)
+            pa.add_argument("--A2", dest="a2", type=_ints)
 
-    p = sub.add_parser("ledrappier", help="harmonic GF(2) fields")
-    p.add_argument("action", choices=["sample", "verify", "trace", "stats"])
-    p.add_argument("--n", dest="width", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--start", type=_point, help="x,y for trace")
-    p.add_argument(
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--n", dest="width", type=int, required=True)
+    field.add_argument("--m", type=int, required=True)
+    field.add_argument("--seed", type=int, required=True)
+    acts = actions("ledrappier", "harmonic GF(2) fields", _cmd_ledrappier)
+    leaf(acts, "sample", field)
+    leaf(acts, "verify", field)
+    pa = leaf(acts, "trace", field)
+    pa.add_argument("--start", type=_point, required=True, help="x,y")
+    pa.add_argument(
         "--direction", default="up", choices=["up", "down", "left", "right"]
     )
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ledrappier)
+    pa = leaf(acts, "stats", field)
+    pa.add_argument("--samples", type=int, default=64)
 
-    p = sub.add_parser("mosaic", help="square tilings with isolated blues")
-    p.add_argument("action", choices=["generate", "count", "entropy", "spin"])
-    p.add_argument("--w", dest="width", type=int, help="board width")
-    p.add_argument("--h", dest="m", type=int, required=True, help="board height")
-    p.add_argument("--k", type=int, required=True, choices=[2, 3])
-    p.add_argument("--adjacency", type=int, default=8, choices=[4, 8])
-    p.add_argument("--widths", type=_ints, help="comma-separated widths for entropy")
-    p.add_argument(
-        "--seed",
-        type=int,
-        help="required for generate/spin; free-boundary output does not depend on it",
-    )
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_mosaic)
+    board = argparse.ArgumentParser(add_help=False)
+    board.add_argument("--h", dest="m", type=int, required=True, help="board height")
+    board.add_argument("--k", type=int, required=True, choices=[2, 3])
+    board.add_argument("--adjacency", type=int, default=8, choices=[4, 8])
+    acts = actions("mosaic", "square tilings with isolated blues", _cmd_mosaic)
+    for action in ("generate", "count", "spin"):
+        pa = leaf(acts, action, board)
+        pa.add_argument("--w", dest="width", type=int, required=True,
+                        help="board width")
+        if action != "count":
+            pa.add_argument("--seed", type=int, required=True,
+                            help="free-boundary output does not depend on it")
+    pa = leaf(acts, "entropy", board)
+    pa.add_argument("--widths", type=_widths, required=True,
+                    help="comma-separated widths")
 
-    p = sub.add_parser("f2", help="free-group Rokhlin families")
-    p.add_argument("action", choices=["verify", "search"])
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--budget", type=int, default=0)
-    p.add_argument("--seed", type=int, help="required for search")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_f2)
+    radius = argparse.ArgumentParser(add_help=False)
+    radius.add_argument("--radius", type=int, default=2)
+    acts = actions("f2", "free-group Rokhlin families", _cmd_f2)
+    leaf(acts, "verify", radius)
+    pa = leaf(acts, "search", radius)
+    pa.add_argument("--budget", type=int, default=0)
+    pa.add_argument("--seed", type=int, required=True)
 
     return parser
 
@@ -456,27 +446,12 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    error = _PARSER.error
-    if args.subcommand == "ledrappier" and args.action == "trace" and not args.start:
-        error("ledrappier trace requires --start x,y (two integers)")
-    if args.subcommand == "mosaic":
-        if args.action in ("generate", "spin") and args.seed is None:
-            error("mosaic generate/spin require --seed")
-        if args.action != "entropy" and args.width is None:
-            error("mosaic requires --w")
-        if args.action == "entropy" and not args.widths:
-            error("mosaic entropy requires --widths")
-    if args.subcommand == "f2" and args.action == "search" and args.seed is None:
-        error("f2 search requires --seed")
-    if args.subcommand == "rankone" and args.action in ("correlate", "decompose"):
-        if args.spacers == "auto" and args.intervals is None:
-            error("--spacers auto needs --intervals")
-    if args.subcommand == "rankone" and args.action == "decompose":
-        if 0 in (args.mu_den, args.c_den):
-            error("rankone decompose requires non-zero --mu-den and --c-den")
+    if getattr(args, "spacers", None) == "auto" and args.intervals is None:
+        _PARSER.error("--spacers auto needs --intervals")
     t0 = time.monotonic()
     try:
-        args.func(args)
+        write, *data = args.func(args)
+        write(args.out, *data)
     except (ErgolabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -485,7 +460,19 @@ def main(argv: list[str] | None = None) -> int:
         for k, v in vars(args).items()
         if k not in ("func", "out", "seed") and v is not None
     }
-    _write_manifest(args.out, args.subcommand, params, getattr(args, "seed", None), t0)
+    manifest = {
+        "subcommand": args.subcommand,
+        "parameters": params,
+        "seed": getattr(args, "seed", None),
+        "versions": {
+            "ergolab": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "outputs": [args.out],
+        "wall_time_s": time.monotonic() - t0,
+    }
+    _write_json(args.out + ".manifest.json", manifest)
     return 0
 
 

@@ -50,13 +50,13 @@ class FinitePermutationSystem:
         ValueError unless `map` is a single n-cycle.
 
         The cycle constructors carry the order they built the map from; a
-        caller-given map is walked on the first call and the order kept.
+        caller-given map is walked on the first call and atom 0's orbit kept,
+        whatever its length, so a non-cycle is not walked again.
         """
         if self._order is None:
-            order = perms.cycle_order_from(self.map, 0)
-            if order.size != self.n:
-                raise ValueError("system must be a single n-cycle")
-            object.__setattr__(self, "_order", order)
+            object.__setattr__(self, "_order", perms.cycle_order_from(self.map, 0))
+        if self._order.size != self.n:
+            raise ValueError("system must be a single n-cycle")
         return self._order
 
     def image(self, s: "AtomSet") -> "AtomSet":

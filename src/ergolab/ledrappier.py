@@ -172,11 +172,14 @@ def trace_thread(
 
 
 def thread_statistics(field: HarmonicField, samples: int, seed: int) -> dict:
-    """Longest upward trace over sampled white starts, plus its coverage."""
+    """Longest upward trace over sampled white starts, plus its coverage;
+    ValueError for fewer than one sample."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     ys, xs = np.nonzero(field.cells)
     whites = len(xs)
-    if whites == 0 or samples <= 0:
+    if whites == 0:
         return {"max_len": 0, "coverage_fraction": 0.0, "seed": seed}
     best: ThreadTrace | None = None
     for idx in rng.integers(0, whites, size=samples):

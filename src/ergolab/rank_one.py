@@ -208,17 +208,20 @@ def correlation_series(
     small next to that span, its pairs are counted directly instead. Counts
     are at most the square of the tower height, so int64 is exact for any
     array that fits in memory. With `stage=None` the working stage is found
-    by `min_exact_stage`; an explicit `stage` too shallow for n_max raises.
+    by `min_exact_stage`; an explicit `stage` too shallow for n_max raises,
+    and so does a negative n_max.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     if stage is None:
         stage = min_exact_stage(spec, a, n_max)
     hs = heights(spec, stage)
     top = _top_level(hs, a)
     if a.levels and hs[-1] - top <= n_max:
         raise ValueError("working stage too shallow for exact series")
-    counts = np.zeros(max(n_max + 1, 0), dtype=np.int64)
+    counts = np.zeros(n_max + 1, dtype=np.int64)
     first = stage
-    if a.levels and n_max >= 0:
+    if a.levels:
         first = min(stage, min_exact_stage(spec, a, n_max))
         d = _grown_differences(
             np.array(sorted(a.levels), dtype=np.int64), hs[a.stage - 1 : first - 1], n_max
@@ -292,8 +295,10 @@ def nonmixing_decomposition(
     The term count m is capped by 2^-m * mu_a >= c; heights are consumed in
     strictly decreasing stage order, each chosen nearest to the running
     remainder. Returns None when the remainder cannot be brought within
-    remainder_cap under those constraints.
+    remainder_cap under those constraints; a negative remainder_cap raises.
     """
+    if remainder_cap < 0:
+        raise ValueError("remainder cap must be non-negative")
     if any(hs[i] >= hs[i + 1] for i in range(len(hs) - 1)):
         raise ValueError("heights must be strictly increasing")
     if c <= 0:

@@ -301,6 +301,31 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ("--start", ["ledrappier", "trace", "--n", "8", "--m", "8", "--seed", "1",
                      "--start", "1,y"]),
         ("--intervals", correlate + ["--A", "level:0"]),  # --spacers auto needs it
+        ("--intervals", ["rankone", "decompose", "--spacers", "auto", "--times", "3"]),
+        ("--A2", ["recurrence", "average", "--n", "5", "--A", "0", "--A2", "1.5",
+                  "--N", "3"]),
+        ("--mu-den", ["rankone", "decompose", "--spacers", "1,1", "--times", "3",
+                      "--mu-den", "0"]),
+        ("--c-den", ["rankone", "decompose", "--spacers", "1,1", "--times", "3",
+                     "--c-den", "0"]),
+        # flags each action requires
+        ("--start", ["ledrappier", "trace", "--n", "8", "--m", "8", "--seed", "1"]),
+        ("--seed", ["mosaic", "generate", "--w", "4", "--h", "4", "--k", "2"]),
+        ("--seed", ["mosaic", "spin", "--w", "4", "--h", "4", "--k", "2"]),
+        ("--w", ["mosaic", "count", "--h", "4", "--k", "2"]),
+        ("--w", ["mosaic", "spin", "--h", "4", "--k", "2", "--seed", "1"]),
+        ("--widths", ["mosaic", "entropy", "--h", "4", "--k", "2"]),
+        ("--widths", ["mosaic", "entropy", "--widths", ",", "--h", "4", "--k", "2"]),
+        # flags the action does not read
+        ("--seed", ["mosaic", "count", "--w", "4", "--h", "4", "--k", "2", "--seed", "3"]),
+        ("--budget", ["f2", "verify", "--budget", "9"]),
+        ("--seed", ["f2", "verify", "--seed", "1"]),
+        ("--A1", ["recurrence", "witness", "--n", "5", "--A", "0", "--A1", "1",
+                  "--N", "3"]),
+        ("--samples", ["ledrappier", "sample", "--n", "8", "--m", "8", "--seed", "1",
+                       "--samples", "3"]),
+        # not taken as an abbreviation of --widths
+        ("--w", ["mosaic", "entropy", "--widths", "2", "--w", "5", "--h", "4", "--k", "2"]),
     ]
     for flag, argv in cases:
         with pytest.raises(SystemExit) as exc:
@@ -308,6 +333,52 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert exc.value.code == 2, argv
         assert flag in capsys.readouterr().err, argv
     assert not list(tmp_path.iterdir())
+
+
+def test_manifest_records_only_the_flags_the_action_reads(tmp_path):
+    field = ["--n", "16", "--m", "16", "--seed", "3"]
+    runs = [
+        (["ledrappier", "sample", *field], {"width", "m"}),
+        (["ledrappier", "verify", *field], {"width", "m"}),
+        (["ledrappier", "trace", *field, "--start", "0,0"],
+         {"width", "m", "start", "direction"}),
+        (["ledrappier", "stats", *field], {"width", "m", "samples"}),
+        (["f2", "verify"], {"radius"}),
+        (["f2", "search", "--budget", "5", "--seed", "2"], {"radius", "budget"}),
+        (["mosaic", "count", "--w", "2", "--h", "2", "--k", "2"],
+         {"width", "m", "k", "adjacency"}),
+        (["mosaic", "entropy", "--widths", "2", "--h", "2", "--k", "2"],
+         {"widths", "m", "k", "adjacency"}),
+        (["recurrence", "witness", "--n", "5", "--A", "0", "--N", "3"],
+         {"n", "a", "horizon"}),
+        (["rankone", "gaps", "--sequence", "1,4,9", "--count", "1"],
+         {"sequence", "count"}),
+    ]
+    for argv, read in runs:
+        out = tmp_path / "run.out"
+        assert run(argv + ["--out", str(out)]) == 0, argv
+        manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
+        assert set(manifest["parameters"]) == {"subcommand", "action"} | read, argv
+        seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else None
+        assert manifest["seed"] == seed, argv
+
+
+def test_sample_count_and_horizons_below_range_are_domain_errors(tmp_path, capsys):
+    cases = [
+        (["ledrappier", "stats", "--n", "16", "--m", "16", "--seed", "3", "--samples", s],
+         "at least one sample") for s in ("0", "-2")
+    ] + [
+        (["rankone", "correlate", "--spacers", "1,1", "--A", "2:0", "--n-max", n],
+         "n_max must be non-negative") for n in ("-1", "-4")
+    ] + [
+        (["rankone", "decompose", "--spacers", "1,1", "--times", "3,4",
+          "--remainder-cap", c], "remainder cap must be non-negative") for c in ("-1", "-2")
+    ]
+    for argv, message in cases:
+        out = tmp_path / "x.out"
+        assert run(argv + ["--out", str(out)]) == 1, argv
+        assert message in capsys.readouterr().err, argv
+        assert not list(tmp_path.iterdir())
 
 
 def test_seeded_reruns_are_byte_identical(tmp_path):

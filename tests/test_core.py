@@ -258,7 +258,7 @@ def test_caller_map_matches_the_constructor_it_copies():
 def test_caller_non_cycle_raises_from_every_walk():
     for p in ((1, 0, 3, 2), (0, 1), (0,) + tuple(range(2, 12)) + (1,)):
         sys_ = FinitePermutationSystem(p)
-        for _ in range(2):  # a failed walk is not kept
+        for _ in range(2):  # the kept short orbit raises again
             with pytest.raises(ValueError, match="single n-cycle"):
                 sys_.walk()
         with pytest.raises(ValueError, match="single n-cycle"):
@@ -267,3 +267,25 @@ def test_caller_non_cycle_raises_from_every_walk():
             core.lehrer_weiss_tower(sys_, 1, sys_.subset([0]))
         with pytest.raises(ValueError, match="single n-cycle"):
             factor_three_involutions(sys_)
+
+
+def test_non_cycle_is_walked_once(monkeypatch):
+    calls = []
+    cycle_order_from = perms.cycle_order_from
+
+    def counted(p, start=0):
+        calls.append(start)
+        return cycle_order_from(p, start)
+
+    monkeypatch.setattr(perms, "cycle_order_from", counted)
+    # atom 0 on a 600-cycle, the other 400 atoms on a second cycle
+    two_cycles = np.r_[np.roll(np.arange(600), -1), 600 + np.roll(np.arange(400), -1)]
+    sys_ = FinitePermutationSystem(two_cycles)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="single n-cycle"):
+            sys_.walk()
+    assert calls == [0]
+    # a caller-given single cycle is walked once too, and keeps its order
+    cyc = FinitePermutationSystem(np.roll(np.arange(50), -1))
+    assert cyc.walk() is cyc.walk()
+    assert calls == [0, 0]

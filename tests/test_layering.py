@@ -67,3 +67,21 @@ def test_layering_scan_flags_each_way_of_writing():
         assert violations(source), source
     for source in ("open(p)", "open(p, 'rb')", "import math", "x.write(y)"):
         assert violations(source) == [], source
+
+
+def test_cli_writes_only_from_main():
+    """Handlers return a writer and its data; only `main` and the writers
+    themselves call a `_write_*` writer."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+    handlers = [f.name for f in functions if f.name.startswith("_cmd_")]
+    assert len(handlers) >= 10
+    for f in functions:
+        if f.name == "main" or f.name.startswith("_write_"):
+            continue
+        calls = [
+            node.func.id for node in ast.walk(f)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id.startswith("_write_")
+        ]
+        assert calls == [], f.name

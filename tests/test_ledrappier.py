@@ -150,6 +150,15 @@ def test_statistics_zero_field():
     assert stats == {"max_len": 0, "coverage_fraction": 0.0, "seed": 3}
 
 
+def test_statistics_need_at_least_one_sample():
+    zero = led.field_from_rows([0] * 6, [0] * 6, 5)
+    for f in (led.sample_field(16, 16, 2), zero):
+        for samples in (0, -2):
+            with pytest.raises(ValueError, match="at least one sample"):
+                led.thread_statistics(f, samples, 3)
+    assert led.thread_statistics(zero, 1, 3)["max_len"] == 0
+
+
 def test_statistics_reproducible():
     f = led.sample_field(128, 128, 9)
     s1 = led.thread_statistics(f, 40, 17)

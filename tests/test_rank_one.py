@@ -269,6 +269,17 @@ def test_correlation_time_out_of_range():
         r1.correlation(spec, a, -1, 4)
 
 
+def test_series_horizon_must_be_non_negative():
+    spec = geometric_spec(4)
+    for a in (r1.LevelSet(2, frozenset([0, 1])), r1.LevelSet(2, frozenset())):
+        for stage in (None, 4):
+            for n_max in (-1, -5):
+                with pytest.raises(ValueError, match="n_max must be non-negative"):
+                    r1.correlation_series(spec, a, n_max, stage=stage)
+        # n_max = 0 is the one-entry series mu(A)
+        assert r1.correlation_series(spec, a, 0).entries == ((0, a.measure()),)
+
+
 def exhaustive_signed_sums(hs, max_terms):
     """All values of signed sums with strictly decreasing stages."""
     vals = {}
@@ -329,6 +340,16 @@ def test_decomposition_term_bound():
     assert r1.nonmixing_decomposition(n, hs, Fraction(1, 4), Fraction(1)) is None
     d = r1.nonmixing_decomposition(n, hs, Fraction(1, 8), Fraction(1))
     assert d is not None and len(d.terms) == 3
+
+
+def test_decomposition_remainder_cap_must_be_non_negative():
+    hs = r1.heights(geometric_spec(8), 8)
+    for cap in (-1, -3):
+        for n in (hs[4], hs[4] + 1):
+            with pytest.raises(ValueError, match="remainder cap must be non-negative"):
+                r1.nonmixing_decomposition(n, hs, Fraction(1, 4), Fraction(1), cap)
+    d = r1.nonmixing_decomposition(hs[4] + 1, hs, Fraction(1, 4), Fraction(1), 1)
+    assert d.terms == ((1, 5),) and d.remainder == 1
 
 
 def test_design_spacers_examples():
