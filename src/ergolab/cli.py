@@ -8,6 +8,8 @@ time in the manifest may differ. Exit codes: 0 success, 1 domain error,
 
 Each action has its own sub-parser, so argparse refuses a flag the action
 does not read (exit 2) and the manifest records only the flags it reads.
+Argparse takes a list value that starts with '-' for an option, so such
+a list goes after '=': --times=-3,7.
 
 This is the only module that formats output or writes files; the library
 modules return values. Each `_cmd_*` handler returns a writer and its data,
@@ -375,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_rankone_correlate)
 
     pa = leaf(acts, "decompose", spec, help="signed-height decompositions")
-    pa.add_argument("--times", type=_ints, required=True, help="comma-separated times")
+    pa.add_argument("--times", type=_ints, required=True,
+                    help="comma-separated: a,b,...; --times=-3,7 if a is negative")
     pa.add_argument("--mu-num", type=int, default=1)
     pa.add_argument("--mu-den", type=_nonzero, default=1)
     pa.add_argument("--c-num", type=int, default=1)
@@ -384,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_rankone_decompose)
 
     pa = leaf(acts, "gaps", help="intervals inside gaps of a sequence")
-    pa.add_argument("--sequence", type=_ints, required=True, help="increasing: a,b,...")
+    pa.add_argument("--sequence", type=_ints, required=True,
+                    help="increasing: a,b,...; --sequence=-3,7 if a is negative")
     pa.add_argument("--count", type=int, required=True)
     pa.set_defaults(func=_cmd_rankone_gaps)
 

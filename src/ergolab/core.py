@@ -9,10 +9,11 @@ The bijection has one representation: a read-only int64 array with
 map[i] the image of atom i, composed in function order (see `perms`).
 Atom sets stay frozensets of Python ints.
 
-Towers and the involution pipeline read a single cycle in walk order from
-atom 0. The cycle constructors build the map from that order and keep it,
-so `walk` costs nothing for them; a caller-given map is walked once, on
-first use, and the order is kept.
+A system lists its map's cycles through `cycles()` (see `perms.cycles`).
+`walk`, the case of exactly one cycle, gives towers and the involution
+pipeline that cycle in walk order from atom 0. The cycle constructors keep
+the order they build the map from as the listing; a caller-given map is
+walked once, on first use, and the listing is kept.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ class FinitePermutationSystem:
     """
 
     map: np.ndarray
-    _order: np.ndarray | None = field(default=None, init=False, repr=False)
+    _cycles: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "map", perms.as_permutation(self.map))
@@ -45,19 +48,21 @@ class FinitePermutationSystem:
     def n(self) -> int:
         return self.map.size
 
+    def cycles(self) -> tuple[np.ndarray, np.ndarray]:
+        """`perms.cycles(map)`: every atom once, orbit after orbit, and the
+        orbit lengths, as read-only int64 arrays; walked on the first call
+        and kept."""
+        if self._cycles is None:
+            object.__setattr__(self, "_cycles", perms.cycles(self.map))
+        return self._cycles
+
     def walk(self) -> np.ndarray:
         """Atoms in walk order from atom 0, as a read-only int64 array;
-        ValueError unless `map` is a single n-cycle.
-
-        The cycle constructors carry the order they built the map from; a
-        caller-given map is walked on the first call and atom 0's orbit kept,
-        whatever its length, so a non-cycle is not walked again.
-        """
-        if self._order is None:
-            object.__setattr__(self, "_order", perms.cycle_order_from(self.map, 0))
-        if self._order.size != self.n:
+        ValueError unless `map` is a single n-cycle."""
+        order, lengths = self.cycles()
+        if lengths.size != 1:
             raise ValueError("system must be a single n-cycle")
-        return self._order
+        return order
 
     def image(self, s: "AtomSet") -> "AtomSet":
         return AtomSet(frozenset(self.map[s.indices()].tolist()), self.n)
@@ -68,12 +73,13 @@ class FinitePermutationSystem:
     @staticmethod
     def _from_walk(order: np.ndarray) -> "FinitePermutationSystem":
         """The single cycle stepping along `order`, an int64 array holding
-        every atom once and starting at atom 0, which it keeps as its walk."""
+        every atom once and starting at atom 0, which it keeps as its one cycle."""
         p = np.empty(order.size, dtype=np.int64)
         p[order] = np.roll(order, -1)
         system = FinitePermutationSystem(p)
-        order.flags.writeable = False
-        object.__setattr__(system, "_order", order)
+        lengths = np.array([order.size], dtype=np.int64)
+        order.flags.writeable = lengths.flags.writeable = False
+        object.__setattr__(system, "_cycles", (order, lengths))
         return system
 
     @staticmethod

@@ -69,19 +69,18 @@ def field_from_rows(row0, row1, height: int) -> HarmonicField:
     return HarmonicField(cells)
 
 
+def _cross_holds(cells: np.ndarray, d: int) -> bool:
+    """Every cell with rows d below and above equals the mod-2 sum of the
+    four cells at horizontal and vertical distance d (x wraps)."""
+    mid = cells[d:-d]
+    ends = cells[2 * d:] ^ cells[:-2 * d]
+    total = np.roll(mid, d, axis=1) ^ np.roll(mid, -d, axis=1) ^ ends
+    return bool((mid == total).all())
+
+
 def verify_harmonicity(field: HarmonicField) -> bool:
     """True iff every interior cell equals the mod-2 sum of its neighbours."""
-    c = field.cells
-    if field.height < 3:
-        return True
-    mid = c[1:-1]
-    total = (
-        np.roll(mid, 1, axis=1)
-        ^ np.roll(mid, -1, axis=1)
-        ^ c[2:]
-        ^ c[:-2]
-    )
-    return bool((mid == total).all())
+    return field.height < 3 or _cross_holds(field.cells, 1)
 
 
 def power_identity_check(field: HarmonicField, k: int) -> bool:
@@ -94,15 +93,7 @@ def power_identity_check(field: HarmonicField, k: int) -> bool:
     d = 2 ** k
     if 2 * d >= field.width or 2 * d >= field.height:
         raise ValueError(f"distance 2^{k} = {d} too large for the grid")
-    c = field.cells
-    mid = c[d:-d]
-    total = (
-        np.roll(mid, d, axis=1)
-        ^ np.roll(mid, -d, axis=1)
-        ^ c[2 * d:]
-        ^ c[: -2 * d]
-    )
-    return bool((mid == total).all())
+    return _cross_holds(field.cells, d)
 
 
 _HEADINGS = {

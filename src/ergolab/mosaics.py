@@ -103,8 +103,9 @@ def generate_mosaic(width: int, height: int, k: int, adjacency: int = 8) -> Mosa
     return Mosaic(width, height, k, cells, adjacency)
 
 
-def _row_transitions(state, w, k, allow_new_tile, adjacency):
-    """All ways to fill the next row given (overhangs, previous blues)."""
+def _row_transitions(state, w, k, adjacency):
+    """All ways to fill the next row given (overhangs, previous blues); a
+    tile crossing the bottom edge is rejected by the final zero-overhang filter."""
     overhang, prev_blue = state
     out = []
 
@@ -130,9 +131,7 @@ def _row_transitions(state, w, k, allow_new_tile, adjacency):
             place(x + 1, depth, row_blue)
             row_blue[x] = 0
         # new k-by-k tile anchored here
-        if allow_new_tile and x + k <= w and all(
-            overhang[x + i] == 0 for i in range(k)
-        ):
+        if x + k <= w and all(overhang[x + i] == 0 for i in range(k)):
             for i in range(k):
                 depth[x + i] = k - 1
             place(x + k, depth, row_blue)
@@ -154,14 +153,12 @@ def count_mosaics(width: int, height: int, k: int, adjacency: int = 8) -> int:
     start = ((0,) * width, (0,) * width)
     counts = {start: 1}
     cache: dict = {}
-    for row in range(height):
-        allow_new = row + k <= height
+    for _ in range(height):
         nxt: dict = {}
         for state, c in counts.items():
-            key = (state, allow_new)
-            if key not in cache:
-                cache[key] = _row_transitions(state, width, k, allow_new, adjacency)
-            for ns in cache[key]:
+            if state not in cache:
+                cache[state] = _row_transitions(state, width, k, adjacency)
+            for ns in cache[state]:
                 nxt[ns] = nxt.get(ns, 0) + c
         counts = nxt
     total = 0

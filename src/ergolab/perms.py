@@ -4,6 +4,9 @@ A permutation is a read-only np.int64 array p of length n with p[i] the
 image of atom i. Composition follows function order: compose(f, g) = f[g]
 applies g first. Every function here takes and returns that form; caller
 sequences enter it once, through `as_permutation`.
+
+`cycles` lists the disjoint cycles of p, each from its least atom; the
+walk of a single cycle and the recurrence counts both read that listing.
 """
 
 from __future__ import annotations
@@ -46,30 +49,29 @@ def inverse(p: np.ndarray) -> np.ndarray:
     return _frozen(inv)
 
 
-def power(p: np.ndarray, k: int) -> np.ndarray:
-    """p^k for any integer k, by repeated squaring."""
-    step = p if k >= 0 else inverse(p)
-    k = abs(k)
-    out = np.arange(p.size)
-    while k:
-        if k & 1:
-            out = step[out]
-        k >>= 1
-        if k:
-            step = step[step]
-    return _frozen(out)
-
-
 def is_involution(p: np.ndarray) -> bool:
     return bool((p[p] == np.arange(p.size)).all())
 
 
-def cycle_order_from(p: np.ndarray, start: int = 0) -> np.ndarray:
-    """Orbit of `start` in iteration order; the full cycle for cyclic p."""
+def cycles(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, lengths): every atom once, orbit after orbit, and the orbit
+    lengths. Each orbit steps along p from its least atom, and the orbits
+    come in increasing order of that atom, so atom 0's orbit is first."""
     pl = p.tolist()  # one list copy: a Python walk is faster than pointer doubling
-    out = [start]
-    j = pl[start]
-    while j != start:
-        out.append(j)
-        j = pl[j]
-    return _frozen(np.fromiter(out, dtype=np.int64, count=len(out)))
+    order: list[int] = []
+    lengths: list[int] = []
+    for start in range(len(pl)):
+        j = pl[start]
+        if j < 0:  # already on an earlier orbit
+            continue
+        size = len(order)
+        order.append(start)
+        pl[start] = -1
+        while j != start:
+            order.append(j)
+            pl[j], j = -1, pl[j]
+        lengths.append(len(order) - size)
+    return (
+        _frozen(np.array(order, dtype=np.int64)),
+        _frozen(np.array(lengths, dtype=np.int64)),
+    )

@@ -295,7 +295,8 @@ def nonmixing_decomposition(
     The term count m is capped by 2^-m * mu_a >= c; heights are consumed in
     strictly decreasing stage order, each chosen nearest to the running
     remainder. Returns None when the remainder cannot be brought within
-    remainder_cap under those constraints; a negative remainder_cap raises.
+    remainder_cap under those constraints; a negative remainder_cap, c <= 0
+    or mu_a <= 0 raises. mu_a may exceed 1: stage-1 levels have width 1.
     """
     if remainder_cap < 0:
         raise ValueError("remainder cap must be non-negative")
@@ -303,6 +304,8 @@ def nonmixing_decomposition(
         raise ValueError("heights must be strictly increasing")
     if c <= 0:
         raise ValueError("threshold must be positive")
+    if mu_a <= 0:
+        raise ValueError("measure must be positive")
     m_bound = 0
     while Fraction(mu_a, 2 ** (m_bound + 1)) >= c:
         m_bound += 1

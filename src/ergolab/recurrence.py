@@ -6,15 +6,15 @@ T^-i x in A1) and x in T^2i A2; sums over i start at 1.
 
 Every quantity comes from one counting engine, `_triple_counts`, which
 yields n * mu(A intersect T^i A1 intersect T^2i A2) for each time of a range.
-On a single n-cycle each set is a bit string over walk positions: bit p is
-set when the atom at walk position p is in the set. T^-i moves position p
-to p - i (mod n), so the count at time i is the popcount of
-A & rotl(A1, i) & rotl(A2, 2i). That costs about n/64 machine words per
-time, whatever the sizes of the sets. Any other map follows T^-i x and
-T^-2i x for the atoms x of A by numpy gathers, about |A| element operations
-per time. So the gathers would win on a cycle only for sets sparser than
-about 2 % of the atoms at n = 10^5; they run only on maps that are not a
-single cycle.
+It runs along the map's cycles (`FinitePermutationSystem.cycles`): on a
+cycle of length m, T^-i moves the atom at position p to position p - i
+(mod m). The cycles of each length m lie side by side in 2m-bit blocks of
+one int per set, bit p of a block set when the atom at position p is in
+the set. A's blocks hold their m bits, then m zeros; A1's and A2's hold
+theirs twice, so a right shift by m - k puts rotl(bits, k) in each block's
+low half, and A's zeros mask off the rest. The count at time i is the
+popcount of A & rotl(A1, i) & rotl(A2, 2i), summed over the distinct
+lengths: about 2n/64 machine words per time, whatever the set sizes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import perms
 from .core import AtomSet, FinitePermutationSystem
 
 
@@ -51,10 +50,19 @@ def _horizon(n_horizon: int) -> range:
     return range(1, n_horizon + 1)
 
 
-def _walk_bits(order: np.ndarray, s: AtomSet) -> int:
-    """The set as an int whose bit p is set when atom order[p] is in it."""
-    packed = np.packbits(s.mask()[order], bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+def _blocks(in_set: np.ndarray, atoms: np.ndarray, m: int) -> int:
+    """The set on the cycles of length m listed in `atoms`, as an int: bit
+    2mc + p is set when the atom at position p of the c-th cycle is in it."""
+    rows = in_set[atoms].reshape(-1, m)
+    if len(rows) > 1:  # the last block's zeros are the int's own
+        rows = np.hstack([rows, np.zeros_like(rows)])
+    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
+
+
+def _group_counts(m: int, b: int, b1: int, b2: int, times: range) -> Iterator[int]:
+    """The counts on the cycles of length m, from their blocks b, b1, b2."""
+    for i in times:
+        yield (b & (b1 >> (m - i % m)) & (b2 >> (m - 2 * i % m))).bit_count()
 
 
 def _triple_counts(
@@ -65,50 +73,20 @@ def _triple_counts(
     times: range,
 ) -> Iterator[int]:
     """n * mu(A intersect T^i A1 intersect T^2i A2) for each i in `times`,
-    lazily: on bit strings along the walk for a single cycle, by following
-    the atoms of A otherwise."""
+    lazily, on bit strings along the cycles."""
     _check_sets(sys, a, a1, a2)
-    try:
-        order = sys.walk()
-    except ValueError:
-        return _gather_counts(sys, a, a1, a2, times)
-    return _bit_counts(order, a, a1, a2, times)
-
-
-def _bit_counts(
-    order: np.ndarray, a: AtomSet, a1: AtomSet, a2: AtomSet, times: range
-) -> Iterator[int]:
-    """The counts of `_triple_counts` on the single cycle walking `order`."""
-    n = order.size
-    b = _walk_bits(order, a)
-    # two copies of each string side by side: a right shift by n - k then
-    # holds rotl(s, k) in its low n bits, and b masks off the rest
-    b1 = _walk_bits(order, a1)
-    b1 |= b1 << n
-    b2 = _walk_bits(order, a2)
-    b2 |= b2 << n
-    for i in times:
-        yield (b & (b1 >> (n - i % n)) & (b2 >> (n - 2 * i % n))).bit_count()
-
-
-def _gather_counts(
-    sys: FinitePermutationSystem,
-    a: AtomSet,
-    a1: AtomSet,
-    a2: AtomSet,
-    times: range,
-) -> Iterator[int]:
-    """The counts of `_triple_counts` on any map: T^-i x and T^-2i x for the
-    atoms x of A, advanced by times.step per time."""
-    back = perms.power(sys.map, -times.step)
-    before = perms.power(sys.map, times.step - times.start)
-    in1, in2 = a1.mask(), a2.mask()
-    y = before[a.indices()]
-    z = before[y]
-    for _ in times:
-        y = back[y]
-        z = back[back[z]]
-        yield int(np.count_nonzero(in1[y] & in2[z]))
+    order, lengths = sys.cycles()
+    ms, count = lengths.tolist(), [1]
+    if len(ms) > 1:  # regroup: the cycles of each length together
+        ms, count = (u.tolist() for u in np.unique(lengths, return_counts=True))
+        order = order[np.argsort(np.repeat(lengths, lengths), kind="stable")]
+    masks = [s.mask() for s in (a, a1, a2)]
+    streams, lo = [], 0
+    for m, k in zip(ms, count):
+        b, b1, b2 = (_blocks(mask, order[lo:lo + m * k], m) for mask in masks)
+        streams.append(_group_counts(m, b, b1 | b1 << m, b2 | b2 << m, times))
+        lo += m * k
+    return streams[0] if len(streams) == 1 else map(sum, zip(*streams))
 
 
 def triple_intersection(

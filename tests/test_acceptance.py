@@ -17,7 +17,7 @@ from ergolab.core import FinitePermutationSystem
 from ergolab.errors import Infeasible
 from ergolab.involutions import factor_three_involutions
 
-from test_core import brute_force_roof_subsets
+from test_core import brute_force_roof_subsets, walk_from_atom_0
 from test_mosaics import brute_force_count
 from test_rank_one import geometric_spec
 
@@ -45,7 +45,7 @@ def test_02_tower_correctness_against_brute_force():
     # exhaustive over every target set for small n
     for n in range(2, 11):
         sys_ = FinitePermutationSystem.random_cycle(n, seed=n)
-        order = core.perms.cycle_order_from(sys_.map, 0)
+        order = walk_from_atom_0(sys_.map)
         pos_of = {a: p for p, a in enumerate(order)}
         for h in range(1, n + 1):
             tower = core.rokhlin_tower(sys_, h)
@@ -69,7 +69,7 @@ def test_02_tower_correctness_against_brute_force():
     rng = random.Random(7)
     for n in range(11, 21):
         sys_ = FinitePermutationSystem.random_cycle(n, seed=3 * n)
-        order = core.perms.cycle_order_from(sys_.map, 0)
+        order = walk_from_atom_0(sys_.map)
         pos_of = {a: p for p, a in enumerate(order)}
         for h in range(1, n + 1):
             tower = core.rokhlin_tower(sys_, h)

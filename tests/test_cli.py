@@ -126,6 +126,36 @@ def test_rankone_design_and_decompose(tmp_path):
     assert rows[2]["decomposition"] is None
 
 
+def test_decompose_takes_negative_times_and_rejects_a_measure_not_positive(
+    tmp_path, capsys
+):
+    from ergolab import rank_one as r1
+
+    out = tmp_path / "dec.json"
+    decompose = ["rankone", "decompose", "--spacers", "1,1,1", "--out", str(out)]
+    # a list starting with '-' goes after '=', or argparse reads an option
+    assert run(decompose + ["--times=-3,7"]) == 0
+    rows = json.loads(out.read_text())
+    hs = r1.heights(r1.RankOneSpec(1, (1, 1, 1)), 4)
+    dec = r1.nonmixing_decomposition(-3, hs, Fraction(1, 4), Fraction(1))
+    assert rows[0]["n"] == -3 and dec is not None
+    assert rows[0]["decomposition"] == [
+        {"sign": s, "stage": j, "height": hs[j - 1]} for s, j in dec.terms
+    ]
+    assert rows[0]["remainder"] == dec.remainder
+    assert rows[0]["term_bound"] == dec.term_bound
+    # mu above 1 is valid: stage-1 levels have width 1
+    assert run(decompose + ["--times", "3,7", "--mu-num", "3"]) == 0
+    assert json.loads(out.read_text())[0]["decomposition"] is not None
+    out.unlink()
+    (tmp_path / "dec.json.manifest.json").unlink()
+    capsys.readouterr()
+    for mu in (["--mu-den", "-1"], ["--mu-num", "0"], ["--mu-num", "-2"]):
+        assert run(decompose + ["--times", "3,7", *mu]) == 1, mu
+        assert "measure must be positive" in capsys.readouterr().err, mu
+        assert not out.exists(), mu
+
+
 def test_rankone_gaps(tmp_path):
     out = tmp_path / "gaps.json"
     seq = ",".join(str(k * k) for k in range(1, 40))

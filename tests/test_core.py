@@ -28,6 +28,16 @@ def brute_force_roof_subsets(n, h, y_pos):
                 yield sub
 
 
+def walk_from_atom_0(p):
+    """Atom 0's orbit in p's order, one step at a time: the oracle walk,
+    made apart from the code under test."""
+    order, j = [0], int(p[0])
+    while j != 0:
+        order.append(j)
+        j = int(p[j])
+    return order
+
+
 def test_rokhlin_examples():
     sys_ = FinitePermutationSystem.cycle(12)
     t = core.rokhlin_tower(sys_, 11)
@@ -131,7 +141,7 @@ def test_lehrer_weiss_matches_brute_force_small():
     rng = random.Random(2024)
     for n in range(2, 13):
         sys_ = FinitePermutationSystem.random_cycle(n, seed=n * 7)
-        order = core.perms.cycle_order_from(sys_.map, 0)
+        order = walk_from_atom_0(sys_.map)
         pos_of = {a: p for p, a in enumerate(order)}
         for h in range(1, n + 1):
             for _ in range(6):
@@ -196,7 +206,7 @@ def test_constructors_carry_the_walk_from_atom_0():
         order = sys_.walk()
         assert order.dtype == np.int64 and not order.flags.writeable
         assert order[0] == 0
-        assert order.tolist() == perms.cycle_order_from(sys_.map, 0).tolist()
+        assert order.tolist() == walk_from_atom_0(sys_.map)
     assert FinitePermutationSystem.cycle(12).walk().tolist() == list(range(12))
 
 
@@ -271,21 +281,21 @@ def test_caller_non_cycle_raises_from_every_walk():
 
 def test_non_cycle_is_walked_once(monkeypatch):
     calls = []
-    cycle_order_from = perms.cycle_order_from
+    cycles = perms.cycles
 
-    def counted(p, start=0):
-        calls.append(start)
-        return cycle_order_from(p, start)
+    def counted(p):
+        calls.append(p.size)
+        return cycles(p)
 
-    monkeypatch.setattr(perms, "cycle_order_from", counted)
+    monkeypatch.setattr(perms, "cycles", counted)
     # atom 0 on a 600-cycle, the other 400 atoms on a second cycle
     two_cycles = np.r_[np.roll(np.arange(600), -1), 600 + np.roll(np.arange(400), -1)]
     sys_ = FinitePermutationSystem(two_cycles)
     for _ in range(2):
         with pytest.raises(ValueError, match="single n-cycle"):
             sys_.walk()
-    assert calls == [0]
+    assert calls == [1000]
     # a caller-given single cycle is walked once too, and keeps its order
     cyc = FinitePermutationSystem(np.roll(np.arange(50), -1))
     assert cyc.walk() is cyc.walk()
-    assert calls == [0, 0]
+    assert calls == [1000, 50]

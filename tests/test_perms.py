@@ -18,32 +18,28 @@ def test_inverse_round_trip(n, seed):
     assert (perms.compose(perms.inverse(p), p) == ident).all()
 
 
-@given(st.integers(1, 40), st.integers(0, 10**6), st.integers(-30, 30))
-def test_power_matches_iteration(n, seed, k):
-    p = random_perm(n, seed)
-    expected = np.arange(n)
-    step = p if k >= 0 else perms.inverse(p)
-    for _ in range(abs(k)):
-        expected = perms.compose(step, expected)
-    assert (perms.power(p, k) == expected).all()
-
-
-@given(st.integers(1, 40), st.integers(0, 10**6), st.integers(-(10**12), 10**12))
-def test_power_far_beyond_n_reduces_by_cycle_length(n, seed, k):
-    # p^k moves each atom k mod (its cycle length) steps along its cycle
-    p = random_perm(n, seed)
-    got = perms.power(p, k)
-    for x in range(n):
-        orbit = perms.cycle_order_from(p, x)
-        assert got[x] == orbit[k % orbit.size]
+@given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(n))))
+def test_cycles_list_every_orbit_from_its_least_atom(images):
+    p = perms.as_permutation(images)
+    n = p.size
+    order, lengths = perms.cycles(p)
+    for q in (order, lengths):
+        assert q.dtype == np.int64 and not q.flags.writeable
+    assert sorted(order.tolist()) == list(range(n)) and lengths.sum() == n
+    assert (lengths >= 1).all()
+    starts = np.cumsum(lengths) - lengths
+    for start, m in zip(starts.tolist(), lengths.tolist()):
+        orbit = order[start:start + m]
+        assert orbit[0] == orbit.min()
+        assert (p[orbit] == np.roll(orbit, -1)).all()  # steps along p, then closes
+    assert (np.diff(order[starts]) > 0).all()
 
 
 def test_cycles_partition():
-    p = perms.as_permutation([1, 0, 3, 4, 2, 5])
-    orbits = {tuple(sorted(perms.cycle_order_from(p, x).tolist())) for x in range(6)}
-    assert sorted(sum(orbits, ())) == list(range(6))
-    assert orbits == {(0, 1), (2, 3, 4), (5,)}
-    assert perms.cycle_order_from(p, 3).tolist() == [3, 4, 2]
+    p = perms.as_permutation([1, 0, 4, 2, 3, 5])
+    order, lengths = perms.cycles(p)
+    assert order.tolist() == [0, 1, 2, 4, 3, 5]
+    assert lengths.tolist() == [2, 3, 1]
 
 
 def test_single_cycle_detection():
@@ -58,7 +54,8 @@ def test_single_cycle_detection():
 
 def test_cycle_order_walks_whole_cycle():
     p = FinitePermutationSystem.random_cycle(12, 9).map
-    order = perms.cycle_order_from(p, 0)
+    order, lengths = perms.cycles(p)
+    assert lengths.tolist() == [12]
     assert sorted(order.tolist()) == list(range(12))
     assert order[0] == 0
     assert (p[order[:-1]] == order[1:]).all() and p[order[-1]] == 0
@@ -66,8 +63,7 @@ def test_cycle_order_walks_whole_cycle():
 
 def test_results_are_read_only_int64():
     p = random_perm(9, 3)
-    for q in (p, perms.compose(p, p), perms.inverse(p), perms.power(p, -4),
-              perms.cycle_order_from(p, 0)):
+    for q in (p, perms.compose(p, p), perms.inverse(p), *perms.cycles(p)):
         assert q.dtype == np.int64 and not q.flags.writeable
 
 

@@ -352,6 +352,16 @@ def test_decomposition_remainder_cap_must_be_non_negative():
     assert d.terms == ((1, 5),) and d.remainder == 1
 
 
+def test_decomposition_measure_must_be_positive():
+    hs = r1.heights(geometric_spec(8), 8)
+    for mu in (Fraction(0), Fraction(-1), Fraction(-3, 2)):
+        with pytest.raises(ValueError, match="measure must be positive"):
+            r1.nonmixing_decomposition(hs[4], hs, Fraction(1, 4), mu)
+    # mu above 1 is valid: stage-1 levels have width 1
+    d = r1.nonmixing_decomposition(hs[4], hs, Fraction(1, 4), Fraction(3))
+    assert d.terms == ((1, 5),) and d.term_bound == 3
+
+
 def test_design_spacers_examples():
     d = r1.design_spacers([(100, 200)], 1)
     assert d.heights == (1, 150) and d.spec.spacers == (148,)

@@ -171,7 +171,7 @@ def test_engine_matches_brute_force_on_every_path():
     rng = random.Random(1111)
     given = FinitePermutationSystem(FinitePermutationSystem.random_cycle(14, 2).map.tolist())
     pair = rotation_pair_system(4, 5)
-    assert given._order is None and pair._order is None  # walked on first use
+    assert given._cycles is None and pair._cycles is None  # walked on first use
     systems = (
         [FinitePermutationSystem.cycle(n) for n in (1, 2, 7, 12)]
         + [FinitePermutationSystem.random_cycle(n, n + 40) for n in (1, 5, 13, 24)]
@@ -202,6 +202,50 @@ def test_engine_matches_brute_force_on_every_path():
                 for i_max in range(1, horizon + 1):
                     expected = next((i for i in hits if i <= i_max), None)
                     assert rec.roth_witness(sys_, a, i_max) == expected, (n, i_max)
+
+
+def lengths_system(lengths, seed):
+    """Cycles of the given lengths side by side, atoms relabelled by a seeded
+    shuffle so that no cycle sits on consecutive atoms."""
+    starts = np.cumsum(lengths) - lengths
+    p = np.concatenate([s + np.roll(np.arange(m), -1) for s, m in zip(starts, lengths)])
+    label = np.random.default_rng(seed).permutation(p.size)
+    relabelled = np.empty_like(p)
+    relabelled[label] = label[p]
+    return FinitePermutationSystem(relabelled)
+
+
+def test_engine_matches_oracles_on_many_cycle_lengths():
+    rng = random.Random(2718)
+    cases = [list(range(1, k + 1)) for k in (3, 6, 9)] + [
+        [5, 1, 5, 2, 5, 2, 1, 7],
+        [rng.randrange(1, 12) for _ in range(14)],
+        [1] * 17,  # the identity
+    ]
+    for seed, lengths in enumerate(cases):
+        sys_ = lengths_system(lengths, seed)
+        assert sorted(sys_.cycles()[1].tolist()) == sorted(lengths)
+        n, period = sys_.n, math.lcm(*lengths)
+        horizon = 2 * n + 3
+        a, a1, a2 = (sys_.subset(random_subset(n, rng.randrange(10**9))) for _ in range(3))
+        expect = [brute_triple(sys_, a, a1, a2, i) for i in range(1, horizon + 1)]
+        assert expect == [
+            Fraction(_gather_count(sys_, a, a1, a2, i), n) for i in range(1, horizon + 1)
+        ]
+        assert rec.triple_profile(sys_, a, a1, a2, horizon) == expect, n
+        avg = rec.furstenberg_average(sys_, a, a1, a2, horizon)
+        assert avg.value == sum(expect) / horizon
+        for i in (0, -1, -7, -(n + 2)):
+            assert rec.triple_intersection(sys_, a, a1, a2, i) == brute_triple(
+                sys_, a, a1, a2, i
+            ), (n, i)
+        for i in (10**12 + 3, -(10**12)):  # T^period is the identity
+            assert rec.triple_intersection(sys_, a, a1, a2, i) == brute_triple(
+                sys_, a, a1, a2, i % period
+            ), (n, i)
+        if len(a):
+            hits = [i for i in range(1, horizon + 1) if brute_triple(sys_, a, a, a, i)]
+            assert rec.roth_witness(sys_, a, horizon) == (hits[0] if hits else None)
 
 
 def test_horizon_below_one_raises():
