@@ -21,9 +21,10 @@ working tower are flagged Unstable rather than approximated.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -182,11 +183,48 @@ def min_exact_stage(spec: RankOneSpec, a: LevelSet, n_max: int) -> int:
     return stage
 
 
+class _Pairs(Sequence):
+    """Read-only (n, value) pairs over one tuple of values, value n at
+    index n. A pair is made only when it is read, and iteration is
+    `enumerate(values)`, so a loop that unpacks each pair reuses one tuple.
+    Equal to any sequence of the same pairs, and hashed as their tuple."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[Fraction, ...]):
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, n: int) -> tuple[int, Fraction]:
+        n = range(len(self.values))[n]  # a negative n counts from the end
+        return n, self.values[n]
+
+    def __iter__(self) -> Iterator[tuple[int, Fraction]]:
+        return enumerate(self.values)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Pairs):
+            return self.values == other.values
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(other) == len(self.values) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"_Pairs({self.values!r})"
+
+
 @dataclass(frozen=True)
 class CorrelationSeries:
-    """Exact correlation values mu(T^n A intersect A) for n = 0..n_max."""
+    """Exact correlation values mu(T^n A intersect A) for n = 0..n_max, read
+    as (n, value) pairs. `correlation_series` stores them as one tuple of
+    values behind a pair view; a tuple of pairs works the same."""
 
-    entries: tuple[tuple[int, Fraction], ...]
+    entries: Sequence[tuple[int, Fraction]]
 
     def value(self, n: int) -> Fraction:
         return self.entries[n][1]
@@ -210,6 +248,11 @@ def correlation_series(
     array that fits in memory. With `stage=None` the working stage is found
     by `min_exact_stage`; an explicit `stage` too shallow for n_max raises,
     and so does a negative n_max.
+    The values are one tuple holding one shared Fraction per distinct count,
+    and the series' (n, value) pairs are made as they are read. A stored
+    pair per time left n_max+1 objects for the cyclic garbage collector to
+    track, and its repeated full passes over them were the largest cost of
+    a long series.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -228,12 +271,11 @@ def correlation_series(
         )[: n_max + 1]
         counts[: len(d)] = d
     # one shared Fraction per distinct count, not one product per n
-    distinct, index = np.unique(counts, return_inverse=True)
+    distinct = np.unique(counts)
     w = level_width(first)
     shared = [c * w for c in distinct.tolist()]
-    return CorrelationSeries(
-        tuple(zip(range(n_max + 1), map(shared.__getitem__, index.tolist())))
-    )
+    values = map(shared.__getitem__, np.searchsorted(distinct, counts).tolist())
+    return CorrelationSeries(_Pairs(tuple(values)))
 
 
 # differences held at once while counting level pairs

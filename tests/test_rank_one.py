@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import product
@@ -207,6 +208,54 @@ def test_series_with_levels_far_apart_in_a_tall_tower():
     for n in range(6):
         assert series.value(n) == r1.correlation(spec, a, n, 2), n
     assert [v for _, v in series.entries] == [2, 1, 0, 0, 0, 0]
+
+
+def _decades_series(n_max):
+    """The series of acceptance test_04: one stage-1 level, stages designed
+    into the decades [10^j, 2*10^j], j = 2..6."""
+    spec = r1.design_spacers([(10**j, 2 * 10**j) for j in range(2, 7)], 1).spec
+    return r1.correlation_series(spec, r1.LevelSet(1, frozenset([0])), n_max, stage=6)
+
+
+def test_long_series_holds_no_object_per_time():
+    n_max = 10**5
+    _decades_series(10)  # lazy set-up inside numpy is not the series' own
+    gc.collect()
+    before = len(gc.get_objects())
+    series = _decades_series(n_max)
+    grown = len(gc.get_objects()) - before
+    assert len(series.entries) == n_max + 1
+    # the shared Fractions, one per distinct count, plus O(1)
+    assert grown <= 1000, grown
+
+
+def test_series_pairs_read_as_a_tuple_of_pairs():
+    series = _decades_series(300)
+    pairs = tuple(series.entries)
+    entries = series.entries
+    assert len(entries) == len(pairs) == 301
+    assert [entries[n] for n in range(301)] == list(pairs)
+    assert entries[-1] == pairs[-1] == (300, series.value(300))
+    assert entries[-301] == pairs[0]
+    for n in (301, -302):
+        with pytest.raises(IndexError):
+            entries[n]
+    assert list(entries) == list(entries) == list(pairs)
+    assert entries == pairs and pairs == entries
+    assert entries == list(pairs) and not entries != pairs
+    assert entries != pairs[:-1] and pairs[:-1] != entries
+    changed = list(pairs)
+    changed[100] = (100, changed[100][1] + Fraction(1, 2**40))
+    assert entries != tuple(changed) and tuple(changed) != entries
+    assert entries != changed
+    again = _decades_series(300)
+    assert again == series and hash(again) == hash(series)
+    assert hash(entries) == hash(pairs)
+    # built from a tuple of pairs, as the benchmark's checks build one
+    built = r1.CorrelationSeries(pairs)
+    assert [built.value(n) for n in range(301)] == [series.value(n) for n in range(301)]
+    assert built == series and series == built and hash(built) == hash(series)
+    assert r1.CorrelationSeries(tuple(changed)) != series
 
 
 def propagated_levels(spec, a, stage):
