@@ -75,7 +75,8 @@ class FinitePermutationSystem:
         """The single cycle stepping along `order`, an int64 array holding
         every atom once and starting at atom 0, which it keeps as its one cycle."""
         p = np.empty(order.size, dtype=np.int64)
-        p[order] = np.roll(order, -1)
+        p[order[:-1]] = order[1:]
+        p[order[-1]] = order[0]
         system = FinitePermutationSystem(p)
         lengths = np.array([order.size], dtype=np.int64)
         order.flags.writeable = lengths.flags.writeable = False
@@ -97,7 +98,7 @@ class FinitePermutationSystem:
             raise ValueError("n must be positive")
         order = np.random.default_rng(seed).permutation(n).astype(np.int64, copy=False)
         start = int(np.argmin(order))  # the position of atom 0
-        return FinitePermutationSystem._from_walk(np.roll(order, -start))
+        return FinitePermutationSystem._from_walk(np.concatenate((order[start:], order[:start])))
 
 
 @dataclass(frozen=True)

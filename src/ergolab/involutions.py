@@ -1,6 +1,7 @@
 """Factor a cyclic measure-preserving permutation into three involutions.
 
-Pipeline on a single n-cycle T:
+Construction on a single n-cycle T, which proves that the triple composes
+to T:
   1. extract a height-h tower (h = 11 by default) with residual runs placed
      between column tops and the next column base;
   2. build a correcting involution s swapping each residual run's last atom
@@ -13,6 +14,27 @@ Pipeline on a single n-cycle T:
      tower (each orbit climbs one column and hops to the next base), and
      splits into two reflections per orbit;
   5. the triple (conjugate of S by P, reflection, reflection) composes to T.
+
+Closed forms. The walk from atom 0 lays out q = n // h columns of h atoms,
+column k followed by residual run k (the r = n mod h leftover atoms, spread
+one or more per run). Write (k, l) for level l of column k, with column
+indices mod q, and i for an atom's index in a run of length L. Carried
+through the layout, the five stages give:
+
+  s1 = P S P^-1  (k, 1) <-> (1-k, 1);  (k, 2) <-> (-k, 2);
+                 (k+1, 0) <-> head i = 0 of run k, when run k is non-empty;
+                 every other atom fixed
+  s2 = r1        (k, 0) <-> (1-k, 1);  (k, l) <-> (k, h+1-l) for 2 <= l <= h-1;
+                 run index i -> 1-i mod L
+  s3 = r2        (k, 0) fixed;  (k, 1) <-> (-k, h-1);
+                 (k, l) <-> (k, h-l) for 2 <= l <= h-2;  run index i -> -i mod L
+
+`factor_three_involutions` builds the triple from this table: s2 and s3
+each take one grid of the column atoms re-indexed by slices and one
+scatter, and s1 scatters only the atoms it moves. The stagewise pipeline
+allocates s, d1, d2, S, P, P's cycle listing and the reflections' index
+arrays instead, about two dozen n-sized temporaries. The test suite keeps the stagewise pipeline as the reference
+and checks the two byte for byte.
 
 Composition convention everywhere: (f * g)(x) = f(g(x)), applied right to
 left, so a triple (s1, s2, s3) represents x -> s1(s2(s3(x))).
@@ -68,80 +90,11 @@ def cycle_two_involutions(k: int) -> tuple[np.ndarray, np.ndarray]:
     return (1 - i) % k, -i % k
 
 
-def _reflections(p: np.ndarray, cycles: np.ndarray, lengths: np.ndarray):
-    """Involutions (r1, r2) with r1(r2(x)) = P(x), by per-cycle reversal.
-
-    `cycles` lists every atom once, cycle after cycle, each cycle in P's
-    order from its anchor; `lengths` gives the cycle lengths. Position i of
-    a cycle of length m goes to -i mod m under r2; r2 is an involution, so
-    r1 = P after r2, which sends position i to 1-i mod m.
-    """
-    m = np.repeat(lengths, lengths)
-    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    i = np.arange(cycles.size) - start
-    r2 = np.empty_like(cycles)
-    r2[cycles] = cycles[start + -i % m]
-    return p[r2], r2
-
-
-def _pipeline_parts(sys: FinitePermutationSystem, height: int):
-    """Internal stages of the factorization: the correcting involution, the
-    two lifted base factors, their product, the periodic part, and the
-    cycles of the periodic part with their lengths (as `_reflections`
-    takes them)."""
-    n = sys.n
-    order = sys.walk()
-    h = min(height, n)
-    q, r = divmod(n, h)
-
-    # walk layout: q columns of h atoms; residual runs spread over the gaps,
-    # the first r % q gaps getting one extra atom when r > q
-    run_len = r // q + (np.arange(q) < r % q)
-    col_start = np.arange(q) * h + np.cumsum(run_len) - run_len
-
-    # correcting involution: swap each run's last atom with its column top
-    s = np.arange(n)
-    has_run = run_len > 0
-    tops = order[col_start[has_run] + h - 1]
-    lasts = order[col_start[has_run] + h + run_len[has_run] - 1]
-    s[tops] = lasts
-    s[lasts] = tops
-
-    # base-cycle factors lifted to levels 0 and 1; the climb applies the
-    # level-0 factor, then the level-1 factor, then the top hop, and the
-    # reversal pair composes back to the +1 column shift
-    lift1, lift2 = cycle_two_involutions(q)
-    d1 = np.arange(n)
-    d2 = np.arange(n)
-    d1[order[col_start]] = order[col_start[lift1]]
-    d2[order[col_start + 1]] = order[col_start[lift2] + 1]
-    big_s = s.copy()
-    big_s[order[col_start]] = d1[order[col_start]]
-    big_s[order[col_start + 1]] = d2[order[col_start + 1]]
-
-    # periodic part P = T after S
-    p = perms.compose(sys.map, big_s)
-
-    # P's cycles, read off the layout: the cycle anchored at column k's base
-    # steps to level 1 of column lift1[k], climbs column lift2[lift1[k]] and
-    # hops back to column k's base; each residual run is one cycle, stepping
-    # along the walk and from its last atom back to its first
-    cols = np.empty((q, h), dtype=np.int64)
-    cols[:, 0] = np.arange(q)
-    cols[:, 1] = lift1
-    cols[:, 2:] = lift2[lift1][:, None]
-    column_pos = (col_start[cols] + np.arange(h)).ravel()
-    in_column = np.zeros(n, dtype=bool)
-    in_column[column_pos] = True
-    cycles = np.concatenate([order[column_pos], order[~in_column]])
-    lengths = np.concatenate([np.full(q, h), run_len])
-    return s, d1, d2, big_s, p, cycles, lengths
-
-
 def factor_three_involutions(
     sys: FinitePermutationSystem, height: int = 11
 ) -> InvolutionTriple:
-    """Factor a single n-cycle into three involutions via the tower pipeline.
+    """Factor a single n-cycle into three involutions by the closed forms of
+    the module docstring.
 
     The tower height is clamped to n when n < height, so small cycles are
     factored through their full-cycle tower. For n <= 2 the map is already
@@ -155,11 +108,52 @@ def factor_three_involutions(
         ident = np.arange(n)
         return InvolutionTriple(ident, ident, sys.map)
 
-    _, _, _, big_s, p, cycles, lengths = _pipeline_parts(sys, height)
-    refl1, refl2 = _reflections(p, cycles, lengths)
+    order = sys.walk()
+    h = min(height, n)
+    q, r = divmod(n, h)
 
-    # conjugate S by P so the correcting product sits leftmost in the triple:
-    # P S P^-1 sends P(x) to P(S(x))
-    s_first = np.empty_like(p)
-    s_first[p] = p[big_s]
-    return InvolutionTriple(s_first, refl1, refl2)
+    # walk layout: q columns of h atoms, column k followed by residual run k;
+    # runs 0..extra-1 hold wide+1 atoms and the others wide, so the walk is
+    # two blocks of equal-width rows, one column and its run per row
+    wide, extra = divmod(r, q)
+    split = extra * (h + wide + 1)
+    blocks = (
+        order[:split].reshape(extra, h + wide + 1),
+        order[split:].reshape(q - extra, h + wide),
+    )
+    a = np.concatenate([block[:, :h] for block in blocks])  # a[k, l]: level l of column k
+    turn, flip = cycle_two_involutions(q)  # column k -> 1-k and -k mod q
+
+    # s1 = P S P^-1: level 1 across turn, level 2 across flip; the run heads below
+    s1 = np.arange(n)
+    s1[a[:, 1:3]] = np.stack((a[turn, 1], a[flip, 2]), axis=1)
+
+    # s2 = r1: base of k <-> level 1 of 1-k, level l <-> level h+1-l for l >= 2
+    b = np.empty_like(a)
+    b[:, 0] = a[turn, 1]
+    b[:, 1] = a[turn, 0]
+    b[:, 2:] = a[:, :1:-1]
+    s2 = np.empty(n, dtype=np.int64)
+    s2[a] = b
+
+    # s3 = r2: bases fixed, level 1 of k <-> level h-1 of -k, level l <-> level h-l
+    b[:, 0] = a[:, 0]
+    b[:, 1] = a[flip, h - 1]
+    b[:, 2:h - 1] = a[:, h - 2:1:-1]
+    b[:, h - 1] = a[flip, 1]
+    s3 = np.empty(n, dtype=np.int64)
+    s3[a] = b
+
+    # residual runs: index i of a run of length L goes to 1-i (s2) and -i (s3)
+    # mod L; s1 swaps the head of run k with the base of column k+1
+    next_base = np.roll(a[:, 0], -1)
+    for block, bases in zip(blocks, np.split(next_base, [extra])):
+        run = block[:, h:]
+        if run.size:
+            heads = run[:, 0]
+            s1[heads] = bases
+            s1[bases] = heads
+            i = np.arange(run.shape[1])
+            s2[run] = run[:, (1 - i) % i.size]
+            s3[run] = run[:, -i % i.size]
+    return InvolutionTriple(s1, s2, s3)
