@@ -144,12 +144,12 @@ def _spacers(text: str) -> str | list[int]:
 
 
 def _level_set(text: str) -> dict:
-    """'level:l1,l2' (stage from --stage, else the spec's last) or
-    'stage:l1,l2'."""
-    if text.startswith("level:"):
-        return {"stage": None, "levels": _ints(text[len("level:"):])}
-    stage, _, levels = text.partition(":")
-    return {"stage": int(stage), "levels": _ints(levels)}
+    """'level:l1,l2' (levels of the spec's last explicit stage) or
+    'stage:l1,l2'; the levels may be empty."""
+    stage, colon, levels = text.partition(":")
+    if not colon:
+        raise argparse.ArgumentTypeError("needs 'level:' or 'stage:' before the levels")
+    return {"stage": None if stage == "level" else int(stage), "levels": _ints(levels)}
 
 
 def _point(text: str) -> tuple[int, int]:
@@ -211,9 +211,9 @@ def _cmd_rankone_design(args) -> tuple:
 def _cmd_rankone_correlate(args) -> tuple:
     spec = _rankone_spec(args)
     stage = args.a["stage"]
-    if stage is None:
-        stage = spec.max_stage if args.stage is None else args.stage
-    a = r1.LevelSet(stage, frozenset(args.a["levels"]))
+    a = r1.LevelSet(
+        spec.max_stage if stage is None else stage, frozenset(args.a["levels"])
+    )
     series = r1.correlation_series(spec, a, args.n_max)
     return _fraction_rows("n", series.entries)
 
@@ -371,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = leaf(acts, "correlate", spec, help="exact correlation series CSV")
     pa.add_argument("--A", dest="a", type=_level_set, required=True,
-                    help="'level:5' or 'stage:5,7'")
-    pa.add_argument("--stage", type=int, help="stage of the level set")
+                    help="'level:5,7' (levels of the spec's last explicit stage) "
+                    "or 'stage:5,7'")
     pa.add_argument("--n-max", dest="n_max", type=int, required=True)
     pa.set_defaults(func=_cmd_rankone_correlate)
 

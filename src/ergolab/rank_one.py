@@ -15,8 +15,14 @@ as S -> S + (S + h_j), and the transformation acts as index +1 within any
 stage tower. Correlations mu(T^n A intersect A) are exact level-pair counts
 at a deep enough stage: with D_j(d) the number of pairs of S at stage j that
 differ by d, S and S + h_j are disjoint and S lies in [0, h_j), so
-D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|). Values whose orbit would leave the
-working tower are flagged Unstable rather than approximated.
+D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|).
+
+A query has one certificate: no level of A lies within n of the working
+tower's top, so every orbit segment of length n stays inside it. Values
+without it are flagged Unstable rather than approximated. Equal values at
+two consecutive stages are no certificate: for RankOneSpec(2, (3, 1, 3, 5,
+3)), A = level 1 of stage 1 and n = 6, stages 2 and 3 give 0 while stages
+4 to 6 certify 1/8.
 """
 
 from __future__ import annotations
@@ -105,7 +111,7 @@ def _check_levels(hs: list[int], a: LevelSet) -> None:
         raise ValueError("working stage is shallower than the set's stage")
     if a.levels and max(a.levels) >= hs[a.stage - 1]:
         raise ValueError("level index outside its stage tower")
-    if any(l < 0 for l in a.levels):
+    if a.levels and min(a.levels) < 0:
         raise ValueError("negative level index")
 
 
@@ -140,12 +146,13 @@ def correlation(
 ) -> Fraction | Unstable:
     """Exact mu(T^n A intersect A), or UNSTABLE if not certified at `stage`.
 
-    The value is D(n) times the level width at the working stage, where D(n)
-    counts the pairs of A's levels there that differ by n, taken by the
-    difference recursion from A's own levels. It is certified when no mass
-    of A sits in the top n levels of the working tower (every orbit segment
-    stays inside); otherwise the counts at stages `stage-1` and `stage` must
-    agree, else UNSTABLE is returned.
+    The one certificate is that no level of A lies in the top n levels of
+    the working tower, so every orbit segment stays inside it; without it
+    UNSTABLE is returned and no pairs are counted. A certified value is
+    D(n) times the level width at the working stage, where D(n) counts the
+    pairs of A's levels there that differ by n, taken by the difference
+    recursion from A's own levels. Counts that agree at `stage-1` and
+    `stage` certify nothing (see the module docstring's example).
     """
     if n < 0:
         raise ValueError("time must be non-negative")
@@ -155,13 +162,9 @@ def correlation(
         raise ValueError(f"time {n} leaves the stage-{stage} tower (h={h_top})")
     if n == 0:
         return a.measure()
-    value = _pair_count(hs, a, n) * level_width(stage)
-    if _top_level(hs, a) + n < h_top:
-        return value
-    if stage - 1 >= a.stage and n < hs[-2]:
-        if _pair_count(hs[:-1], a, n) * level_width(stage - 1) == value:
-            return value
-    return UNSTABLE
+    if _top_level(hs, a) + n >= h_top:
+        return UNSTABLE
+    return _pair_count(hs, a, n) * level_width(stage)
 
 
 def extend_spec(spec: RankOneSpec, a: LevelSet, n_max: int) -> RankOneSpec:
@@ -231,23 +234,22 @@ class CorrelationSeries:
 
 
 def correlation_series(
-    spec: RankOneSpec, a: LevelSet, n_max: int, stage: int | None = None
+    spec: RankOneSpec, a: LevelSet, n_max: int
 ) -> CorrelationSeries:
-    """All correlations for n in [0, n_max] at a certifying working stage.
+    """All correlations for n in [0, n_max], at the working stage
+    `min_exact_stage(spec, a, n_max)`.
 
     The value at n is D(n) times the level width, where D(d) counts the
-    pairs of levels of A that differ by d. It is exact once no orbit of A
-    leaves the tower within n_max steps. From the first such stage on, D
-    only doubles on [0, n_max] while the width halves, so every deeper
-    working stage gives the same series, and D is taken at the shallower of
-    `stage` and the stage `min_exact_stage` finds.
+    pairs of levels of A that differ by d. The stage carries the one
+    certificate `correlation` uses for every n <= n_max: no orbit of A
+    leaves the tower within n_max steps. From that stage on, D only doubles
+    on [0, n_max] while the width halves, so every deeper stage gives the
+    same series.
     It is built from A's own levels by D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|)
     on an int64 array as long as the difference span; when the grown set is
     small next to that span, its pairs are counted directly instead. Counts
     are at most the square of the tower height, so int64 is exact for any
-    array that fits in memory. With `stage=None` the working stage is found
-    by `min_exact_stage`; an explicit `stage` too shallow for n_max raises,
-    and so does a negative n_max.
+    array that fits in memory. A negative n_max raises.
     The values are one tuple holding one shared Fraction per distinct count,
     and the series' (n, value) pairs are made as they are read. A stored
     pair per time left n_max+1 objects for the cyclic garbage collector to
@@ -256,23 +258,18 @@ def correlation_series(
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if stage is None:
-        stage = min_exact_stage(spec, a, n_max)
-    hs = heights(spec, stage)
-    top = _top_level(hs, a)
-    if a.levels and hs[-1] - top <= n_max:
-        raise ValueError("working stage too shallow for exact series")
+    stage = min_exact_stage(spec, a, n_max)
     counts = np.zeros(n_max + 1, dtype=np.int64)
-    first = stage
     if a.levels:
-        first = min(stage, min_exact_stage(spec, a, n_max))
         d = _grown_differences(
-            np.array(sorted(a.levels), dtype=np.int64), hs[a.stage - 1 : first - 1], n_max
+            np.array(sorted(a.levels), dtype=np.int64),
+            heights(spec, stage)[a.stage - 1 : -1],
+            n_max,
         )[: n_max + 1]
         counts[: len(d)] = d
     # one shared Fraction per distinct count, not one product per n
     distinct = np.unique(counts)
-    w = level_width(first)
+    w = level_width(stage)
     shared = [c * w for c in distinct.tolist()]
     values = map(shared.__getitem__, np.searchsorted(distinct, counts).tolist())
     return CorrelationSeries(_Pairs(tuple(values)))

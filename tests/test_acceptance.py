@@ -120,7 +120,7 @@ def test_04_nonmixing_times_confined_to_intervals():
     hs = r1.heights(spec, 6)
     a = r1.LevelSet(1, frozenset([0]))
     mu = a.measure()
-    series = r1.correlation_series(spec, a, 10**5, stage=6)
+    series = r1.correlation_series(spec, a, 10**5)
     threshold = mu / 4
     hits = [n for n in range(1, 10**5 + 1) if series.value(n) >= threshold]
     assert hits, "scan found no non-mixing times at all"
@@ -156,8 +156,7 @@ def test_05_mixing_along_zero_density_squares():
     # with the sparse tail s_j = h_j, as `rankone correlate --spacers auto` does
     spec = r1.extend_spec(design.spec, a, n_max)
     hs = r1.heights(spec, spec.max_stage)
-    stage = r1.min_exact_stage(spec, a, n_max)
-    series = r1.correlation_series(spec, a, n_max, stage=stage)
+    series = r1.correlation_series(spec, a, n_max)
     square_set = [s for s in squares if 1 <= s <= n_max]
     overall = max(series.value(s) for s in square_set)
     assert overall <= mu / 4, f"max correlation along squares is {overall}"

@@ -97,13 +97,28 @@ def test_rankone_correlate_continues_explicit_spacers(tmp_path):
 
 def test_rankone_correlate_rejects_stage_zero(tmp_path, capsys):
     out = tmp_path / "corr.csv"
-    for a in (["--A", "0:0"], ["--A", "level:0", "--stage", "0"]):
-        assert run(
+
+    def correlate(*a):
+        return run(
             ["rankone", "correlate", "--h1", "1", "--spacers", "1,1", *a,
              "--n-max", "5", "--out", str(out)]
-        ) == 1
-        assert "stage must be positive" in capsys.readouterr().err
+        )
+
+    assert correlate("--A", "0:0") == 1
+    assert "stage must be positive" in capsys.readouterr().err
+    assert not out.exists()
+    # the stage is written in --A; a text without ':' names no levels
+    for a in (["--A", "level:0", "--stage", "0"], ["--A", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            correlate(*a)
+        assert exc.value.code == 2, a
         assert not out.exists()
+    assert "--A" in capsys.readouterr().err
+    # an empty level set is valid and has the zero series
+    assert correlate("--A", "3:") == 0
+    assert out.read_text() == "n,numerator,denominator\n" + "".join(
+        f"{n},0,1\n" for n in range(6)
+    )
 
 
 def test_rankone_design_and_decompose(tmp_path):

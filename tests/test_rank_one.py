@@ -166,14 +166,16 @@ def test_series_matches_occupancy_oracle_on_random_specs():
         assert all(type(v) is Fraction for _, v in series.entries)
         assert [v for _, v in series.entries] == series_oracle(spec, a, n_max, stage)
         for deeper in range(stage + 1, spec.max_stage + 1):
-            assert r1.correlation_series(spec, a, n_max, stage=deeper) == series
+            assert [
+                r1.correlation(spec, a, n, deeper) for n in range(1, n_max + 1)
+            ] == [series.value(n) for n in range(1, n_max + 1)]
             covered.add("deeper")
         top = max(a.levels) + sum(r1.heights(spec, stage)[a_stage - 1 : -1])
         if top - min(a.levels) < n_max:
             covered.add("past the largest difference")
         # the set's own stage certifies times below its distance to the top
         own = r1.heights(spec, a_stage)[-1] - max(a.levels) - 1
-        got = r1.correlation_series(spec, a, own, stage=a_stage)
+        got = r1.correlation_series(spec, a, own)
         assert [v for _, v in got.entries] == series_oracle(spec, a, own, a_stage)
         if own > max(a.levels) - min(a.levels):
             covered.add("own stage past the largest difference")
@@ -195,7 +197,9 @@ def test_series_of_a_large_base_set_matches_oracle():
     series = r1.correlation_series(spec, a, n_max)
     assert all(type(v) is Fraction for _, v in series.entries)
     assert [v for _, v in series.entries] == series_oracle(spec, a, n_max, stage)
-    assert r1.correlation_series(spec, a, n_max, stage=stage + 2) == series
+    assert [r1.correlation(spec, a, n, stage + 2) for n in range(1, n_max + 1)] == [
+        series.value(n) for n in range(1, n_max + 1)
+    ]
 
 
 def test_series_with_levels_far_apart_in_a_tall_tower():
@@ -214,7 +218,7 @@ def _decades_series(n_max):
     """The series of acceptance test_04: one stage-1 level, stages designed
     into the decades [10^j, 2*10^j], j = 2..6."""
     spec = r1.design_spacers([(10**j, 2 * 10**j) for j in range(2, 7)], 1).spec
-    return r1.correlation_series(spec, r1.LevelSet(1, frozenset([0])), n_max, stage=6)
+    return r1.correlation_series(spec, r1.LevelSet(1, frozenset([0])), n_max)
 
 
 def test_long_series_holds_no_object_per_time():
@@ -266,19 +270,23 @@ def propagated_levels(spec, a, stage):
     return s
 
 
-def correlation_reference(spec, a, n, stage):
-    """(value, rule) for 0 < n < h_stage from propagated level sets: hits are
-    the levels l with l + n in the set; the value is certified when no level
-    lies in the top n, else when stage - 1 gives the same value."""
-    hs = r1.heights(spec, stage)
+def propagated_correlation(spec, a, n, stage):
+    """Hits, the levels l with l + n in the propagated set, times the width."""
     levels = propagated_levels(spec, a, stage)
-    value = sum(l + n in levels for l in levels) * r1.level_width(stage)
-    if all(l + n < hs[-1] for l in levels):
-        return value, "certified"
-    if stage - 1 >= a.stage and n < hs[-2]:
-        prev = propagated_levels(spec, a, stage - 1)
-        if sum(l + n in prev for l in prev) * r1.level_width(stage - 1) == value:
-            return value, "stages agree"
+    return sum(l + n in levels for l in levels) * r1.level_width(stage)
+
+
+def correlation_reference(spec, a, n, stage):
+    """(value, rule) for 0 < n < h_stage from propagated level sets: the value
+    is certified when no level lies in the top n, and UNSTABLE otherwise,
+    also when stage - 1 gives the same value."""
+    hs = r1.heights(spec, stage)
+    if all(l + n < hs[-1] for l in propagated_levels(spec, a, stage)):
+        return propagated_correlation(spec, a, n, stage), "certified"
+    if stage - 1 >= a.stage and n < hs[-2] and propagated_correlation(
+        spec, a, n, stage - 1
+    ) == propagated_correlation(spec, a, n, stage):
+        return r1.UNSTABLE, "stages agree, mass at the top"
     return r1.UNSTABLE, "unstable"
 
 
@@ -299,7 +307,60 @@ def test_correlation_matches_propagated_sets_on_random_specs():
             covered.add(rule)
             if stage > spec.max_stage and value is not r1.UNSTABLE:
                 covered.add("past the explicit spacers")
-    assert covered == {"certified", "stages agree", "unstable", "past the explicit spacers"}
+    assert covered == {
+        "certified", "stages agree, mass at the top", "unstable",
+        "past the explicit spacers",
+    }
+
+
+def test_stage_agreement_is_no_certificate():
+    spec = r1.RankOneSpec(2, (3, 1, 3, 5, 3))
+    a = r1.LevelSet(1, frozenset([1]))
+    # the propagated sets give 0 at stages 2 and 3, then 1/8 from stage 4 on
+    assert [propagated_correlation(spec, a, 6, j) for j in range(2, 7)] == [
+        0, 0, Fraction(1, 8), Fraction(1, 8), Fraction(1, 8),
+    ]
+    assert r1.min_exact_stage(spec, a, 6) == 4
+    assert correlation_reference(spec, a, 6, 3) == (
+        r1.UNSTABLE, "stages agree, mass at the top"
+    )
+    assert r1.correlation(spec, a, 6, 3) is r1.UNSTABLE
+    assert r1.correlation(spec, a, 6, 4) == r1.correlation(spec, a, 6, 6) == Fraction(1, 8)
+
+
+def test_every_returned_correlation_is_the_certified_value():
+    rng = random.Random(1)
+    returned = 0
+    for _ in range(20_000):
+        spacers = tuple(rng.randint(0, 6) for _ in range(rng.randint(0, 5)))
+        spec = r1.RankOneSpec(rng.randint(1, 3), spacers)
+        stage = rng.randint(1, spec.max_stage + 2)
+        hs = r1.heights(spec, stage)
+        if hs[-1] < 2:
+            continue
+        a_stage = rng.randint(1, stage)
+        h = hs[a_stage - 1]
+        a = r1.LevelSet(a_stage, frozenset(rng.sample(range(h), rng.randint(1, min(3, h)))))
+        n = rng.randrange(1, hs[-1])
+        value = r1.correlation(spec, a, n, stage)
+        if value is r1.UNSTABLE:
+            continue
+        returned += 1
+        deep = max(stage, r1.min_exact_stage(spec, a, n))
+        assert correlation_reference(spec, a, n, deep) == (value, "certified"), (
+            spec, a, n, stage
+        )
+    assert returned > 1000, returned
+
+
+def test_levels_outside_their_stage_tower_raise():
+    spec = geometric_spec(3)
+    for levels, message in (([0, -1], "negative level index"), ([3], "outside its stage tower")):
+        a = r1.LevelSet(2, frozenset(levels))
+        with pytest.raises(ValueError, match=message):
+            r1.correlation(spec, a, 1, 3)
+        with pytest.raises(ValueError, match=message):
+            r1.correlation_series(spec, a, 2)
 
 
 def test_correlation_unstable_without_spacers():
@@ -321,10 +382,9 @@ def test_correlation_time_out_of_range():
 def test_series_horizon_must_be_non_negative():
     spec = geometric_spec(4)
     for a in (r1.LevelSet(2, frozenset([0, 1])), r1.LevelSet(2, frozenset())):
-        for stage in (None, 4):
-            for n_max in (-1, -5):
-                with pytest.raises(ValueError, match="n_max must be non-negative"):
-                    r1.correlation_series(spec, a, n_max, stage=stage)
+        for n_max in (-1, -5):
+            with pytest.raises(ValueError, match="n_max must be non-negative"):
+                r1.correlation_series(spec, a, n_max)
         # n_max = 0 is the one-entry series mu(A)
         assert r1.correlation_series(spec, a, 0).entries == ((0, a.measure()),)
 
