@@ -439,7 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     acts = actions("f2", "free-group Rokhlin families", _cmd_f2)
     leaf(acts, "verify", radius)
     pa = leaf(acts, "search", radius)
-    pa.add_argument("--budget", type=int, default=0)
+    pa.add_argument("--budget", type=int, default=0,
+                    help=f"proposals in all; each of the {f2.RESTARTS} climbs draws "
+                         f"budget // {f2.RESTARTS}, and the remainder is never drawn")
     pa.add_argument("--seed", type=int, required=True)
 
     return parser

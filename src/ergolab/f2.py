@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .errors import CapExceeded, Infeasible
 
 GENERATORS = ("a", "b", "A", "B")
@@ -184,58 +186,59 @@ def verify_rokhlin_family(b: CylinderPatternSet) -> RokhlinCertificate:
     return RokhlinCertificate(b, verdict, b.measure)
 
 
-class _FamilyConstraints:
-    """Incremental projections for the ten disjointness constraints."""
+def _family_projection(window: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and tags that project window bit rows onto the 20 constraint sides.
 
-    def __init__(self, window: tuple[str, ...]):
-        self.window = window
-        self.pairs = []
-        for gi, hi in combinations(range(len(FAMILY)), 2):
-            g, h = FAMILY[gi], FAMILY[hi]
-            gw = {multiply(g, w): i for i, w in enumerate(window)}
-            hw = {multiply(h, w): i for i, w in enumerate(window)}
-            overlap = sorted(set(gw) & set(hw), key=_shortlex_key)
-            g_idx = tuple(gw[w] for w in overlap)
-            h_idx = tuple(hw[w] for w in overlap)
-            self.pairs.append((g_idx, h_idx, set(), set()))
-
-    @staticmethod
-    def _extract(mask: int, idx: tuple[int, ...]) -> int:
-        v = 0
-        for pos, i in enumerate(idx):
-            if mask >> i & 1:
-                v |= 1 << pos
-        return v
-
-    def can_add(self, mask: int) -> bool:
-        for g_idx, h_idx, g_seen, h_seen in self.pairs:
-            vg = self._extract(mask, g_idx)
-            vh = self._extract(mask, h_idx)
-            if vg == vh or vg in h_seen or vh in g_seen:
-                return False
-        return True
-
-    def add(self, mask: int) -> None:
-        for g_idx, h_idx, g_seen, h_seen in self.pairs:
-            g_seen.add(self._extract(mask, g_idx))
-            h_seen.add(self._extract(mask, h_idx))
+    For the j-th pair (g, h) of FAMILY, column j reads the g side and column
+    10 + j the h side: the window words whose g- (or h-) translate lies in the
+    overlap gW & hW, one bit per overlap word in shortlex order. Both sides
+    carry the tag j << len(window), so a key names its constraint as well as
+    its overlap values, and one set of keys per side serves all ten pairs.
+    """
+    pairs = list(combinations(FAMILY, 2))
+    weights = np.zeros((len(window), 2 * len(pairs)), dtype=np.int64)
+    for j, (g, h) in enumerate(pairs):
+        gw = {multiply(g, w): i for i, w in enumerate(window)}
+        hw = {multiply(h, w): i for i, w in enumerate(window)}
+        overlap = sorted(set(gw) & set(hw), key=_shortlex_key)
+        for pos, w in enumerate(overlap):
+            weights[gw[w], j] = 1 << pos
+            weights[hw[w], len(pairs) + j] = 1 << pos
+    tags = np.tile(np.arange(len(pairs), dtype=np.int64) << len(window), 2)
+    return weights, tags
 
 
-def _climb(window: tuple[str, ...], start: frozenset[int], budget: int, seed: int):
+def _side_keys(projection, masks: list[int]):
+    """Masks that avoid their own translates, with their g-side and h-side keys.
+
+    One batch: the masks' bit matrix times the projection weights gives every
+    side's overlap value. A mask whose two sides agree on some pair meets its
+    own translate, whatever else is in the set, so it is dropped here.
+    """
+    weights, tags = projection
+    arr = np.array(masks, dtype=np.int64)
+    bits = arr[:, None] >> np.arange(len(weights), dtype=np.int64) & 1
+    keys = bits @ weights + tags
+    half = len(tags) // 2
+    g_keys, h_keys = keys[:, :half], keys[:, half:]
+    fine = (g_keys != h_keys).all(axis=1)
+    return arr[fine].tolist(), g_keys[fine].tolist(), h_keys[fine].tolist()
+
+
+def _climb(projection, start: frozenset[int], budget: int, seed: int):
+    """Greedy set of masks: the start masks in order, then `budget` seeded
+    draws over the window; a mask joins when no member's g side shares a key
+    with its h side and no member's h side shares a key with its g side."""
     rng = random.Random(seed)
-    cons = _FamilyConstraints(window)
+    top = 1 << len(projection[0])
+    masks = sorted(start) + [rng.randrange(top) for _ in range(budget)]
     members: set[int] = set()
-    for m in sorted(start):
-        if cons.can_add(m):
-            cons.add(m)
-            members.add(m)
-    top = 1 << len(window)
-    for _ in range(budget):
-        m = rng.randrange(top)
-        if m in members:
-            continue
-        if cons.can_add(m):
-            cons.add(m)
+    g_seen: set[int] = set()
+    h_seen: set[int] = set()
+    for m, g_keys, h_keys in zip(*_side_keys(projection, masks)):
+        if h_seen.isdisjoint(g_keys) and g_seen.isdisjoint(h_keys):
+            g_seen.update(g_keys)
+            h_seen.update(h_keys)
             members.add(m)
     return members
 
@@ -243,13 +246,15 @@ def _climb(window: tuple[str, ...], start: frozenset[int], budget: int, seed: in
 def search_best(radius: int, budget: int, seed: int) -> RokhlinCertificate:
     """Seeded hill climbing over radius-L predicates under the ten constraints.
 
-    Starts from the local-peak baseline; each of the RESTARTS climbs consumes
-    an equal share of the budget with its own derived seed. Of the baseline
-    and the climbs, only non-empty sets that `verify_rokhlin_family` accepts
-    are candidates; the best wins by measure, ties by lexicographically least
-    assignment tuple, and the returned certificate is re-verified from
-    scratch. Raises Infeasible when no candidate remains (at radius 1 the
-    baseline fails and no single assignment avoids its own translates).
+    Starts from the local-peak baseline; each of the RESTARTS climbs draws
+    budget // RESTARTS proposals with its own derived seed, so the remainder
+    budget % RESTARTS is never drawn and budgets 1 to RESTARTS - 1 return the
+    baseline. Of the baseline and the climbs, only non-empty sets that
+    `verify_rokhlin_family` accepts are candidates; the best wins by measure,
+    ties by lexicographically least assignment tuple, and the returned
+    certificate is re-verified from scratch. Raises Infeasible when no
+    candidate remains (at radius 1 the baseline fails and no single
+    assignment avoids its own translates).
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -266,7 +271,8 @@ def search_best(radius: int, budget: int, seed: int) -> RokhlinCertificate:
         share = budget // RESTARTS
         master = random.Random(seed)
         seeds = [master.randrange(2 ** 32) for _ in range(RESTARTS)]
-        found += [_climb(window, base.assignments, share, s) for s in seeds]
+        projection = _family_projection(window)
+        found += [_climb(projection, base.assignments, share, s) for s in seeds]
     candidates = [
         p for p in found
         if p and verify_rokhlin_family(CylinderPatternSet(window, frozenset(p))).verdict

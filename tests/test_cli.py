@@ -300,6 +300,19 @@ def test_f2_search_at_radius_one_is_a_domain_error(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--radius", "2", "--budget", "-5"], "budget must be non-negative"),
+    (["--radius", "0", "--budget", "100"], "radius must be at least 1"),
+    (["--radius", "3", "--budget", "100"], "cap is 2"),
+])
+def test_f2_search_out_of_domain_exits_1_without_output(tmp_path, capsys, flags, message):
+    out = tmp_path / "cert.json"
+    assert run(["f2", "search", *flags, "--seed", "3", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "cert.json.manifest.json").exists()
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tower", "--n", "12", "--out", "x.json"])  # missing --h

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ergolab import cli, f2
-from ergolab.errors import CapExceeded
+from ergolab.errors import CapExceeded, Infeasible
 
 
 def enumerate_intersection(b1, b2):
@@ -29,6 +29,66 @@ def random_pattern(radius, seed, count):
     return f2.CylinderPatternSet(
         window, frozenset(rng.randrange(top) for _ in range(count))
     )
+
+
+class ReferenceConstraints:
+    """Per-proposal projections for the ten disjointness constraints, one
+    Python bit loop per mask and side: the reference for `f2._climb`'s
+    batched projection."""
+
+    def __init__(self, window):
+        self.pairs = []
+        for gi, hi in itertools.combinations(range(len(f2.FAMILY)), 2):
+            g, h = f2.FAMILY[gi], f2.FAMILY[hi]
+            gw = {f2.multiply(g, w): i for i, w in enumerate(window)}
+            hw = {f2.multiply(h, w): i for i, w in enumerate(window)}
+            overlap = sorted(set(gw) & set(hw), key=f2._shortlex_key)
+            g_idx = tuple(gw[w] for w in overlap)
+            h_idx = tuple(hw[w] for w in overlap)
+            self.pairs.append((g_idx, h_idx, set(), set()))
+
+    @staticmethod
+    def _extract(mask, idx):
+        v = 0
+        for pos, i in enumerate(idx):
+            if mask >> i & 1:
+                v |= 1 << pos
+        return v
+
+    def can_add(self, mask):
+        for g_idx, h_idx, g_seen, h_seen in self.pairs:
+            vg = self._extract(mask, g_idx)
+            vh = self._extract(mask, h_idx)
+            if vg == vh or vg in h_seen or vh in g_seen:
+                return False
+        return True
+
+    def add(self, mask):
+        for g_idx, h_idx, g_seen, h_seen in self.pairs:
+            g_seen.add(self._extract(mask, g_idx))
+            h_seen.add(self._extract(mask, h_idx))
+
+
+def reference_climb(window, start, budget, seed):
+    """The climb mask by mask; also counts draws of masks already members."""
+    rng = random.Random(seed)
+    cons = ReferenceConstraints(window)
+    members = set()
+    for m in sorted(start):
+        if cons.can_add(m):
+            cons.add(m)
+            members.add(m)
+    top = 1 << len(window)
+    redraws = 0
+    for _ in range(budget):
+        m = rng.randrange(top)
+        if m in members:
+            redraws += 1
+            continue
+        if cons.can_add(m):
+            cons.add(m)
+            members.add(m)
+    return members, redraws
 
 
 def test_multiply_examples():
@@ -174,3 +234,84 @@ def test_assignment_cap_enforced():
     window = f2.ball(1)
     with pytest.raises(ValueError):
         f2.CylinderPatternSet(window, frozenset([64]))  # out of range for 5 words
+
+
+def test_search_matches_the_per_mask_reference_climb(monkeypatch):
+    climbs = {}
+    batched = f2._climb
+
+    def recorded(projection, start, budget, seed):
+        climbs[seed] = batched(projection, start, budget, seed)
+        return climbs[seed]
+
+    monkeypatch.setattr(f2, "_climb", recorded)
+    verdicts = {}
+
+    def verifies(window, p):
+        key = (window, frozenset(p))
+        if key not in verdicts:
+            verdicts[key] = f2.verify_rokhlin_family(f2.CylinderPatternSet(*key)).verdict
+        return verdicts[key]
+
+    redrawn = 0
+    for radius in (1, 2):
+        base = f2.local_peak(radius)
+        window = base.window
+        for budget in (0, 1, 3, 4, 5, 750, 3000, 25000):
+            for seed in range(12):
+                climbs.clear()
+                try:
+                    got = f2.search_best(radius, budget, seed).base.assignments
+                except Infeasible:
+                    got = None
+                found = [set(base.assignments)]
+                if budget > 0:
+                    master = random.Random(seed)
+                    for s in [master.randrange(2**32) for _ in range(f2.RESTARTS)]:
+                        members, redraws = reference_climb(
+                            window, base.assignments, budget // f2.RESTARTS, s)
+                        assert climbs[s] == members, (radius, budget, seed, s)
+                        redrawn += redraws > 0
+                        found.append(members)
+                candidates = [p for p in found if p and verifies(window, p)]
+                want = None
+                if candidates:
+                    want = frozenset(min(candidates, key=lambda p: (-len(p), tuple(sorted(p)))))
+                assert got == want, (radius, budget, seed)
+    assert redrawn > 0  # some climb drew a member again and kept the same set
+
+
+def test_self_overlap_filter_matches_single_mask_verification():
+    # radius 1: every mask meets one of its own translates, checked by the
+    # independent verifier; the batch filter keeps none of them
+    window = f2.ball(1)
+    masks = list(range(1 << len(window)))
+    for m in masks:
+        assert not f2.verify_rokhlin_family(f2.CylinderPatternSet(window, frozenset([m]))).verdict
+    kept, g_keys, h_keys = f2._side_keys(f2._family_projection(window), masks)
+    assert kept == [] and g_keys == [] and h_keys == []
+    for budget in (0, 100, 3000):
+        with pytest.raises(Infeasible):
+            f2.search_best(1, budget, seed=5)
+
+    # radius 2: the filter keeps a draw exactly when its single-mask set verifies
+    window = f2.ball(2)
+    rng = random.Random(11)
+    masks = [rng.randrange(1 << len(window)) for _ in range(300)]
+    kept, _, _ = f2._side_keys(f2._family_projection(window), masks)
+    verified = [
+        m for m in masks
+        if f2.verify_rokhlin_family(f2.CylinderPatternSet(window, frozenset([m]))).verdict
+    ]
+    assert kept == verified
+    assert 0 < len(kept) < len(masks)
+
+
+def test_search_never_draws_the_budget_remainder():
+    for budget in (1, 2, 3):
+        assert f2.search_best(2, budget, seed=4).base == f2.local_peak(2)
+    for seed in (0, 9):
+        for k in (1, 150):
+            whole = f2.search_best(2, f2.RESTARTS * k, seed)
+            for r in range(1, f2.RESTARTS):
+                assert f2.search_best(2, f2.RESTARTS * k + r, seed) == whole, (seed, k, r)
