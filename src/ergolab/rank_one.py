@@ -17,6 +17,14 @@ at a deep enough stage: with D_j(d) the number of pairs of S at stage j that
 differ by d, S and S + h_j are disjoint and S lies in [0, h_j), so
 D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|).
 
+A series needs D only on [0, n_max]. Call a step far when h_j exceeds the
+span of the set grown so far by more than n_max: then S + h_j puts no
+difference <= n_max against S, and D_{j+1} = 2*D_j there. The gap h_j - span
+grows by s_j from each step to the next, so every step after a far one is
+far too. A series stops growing the set at the first far step and folds the
+remaining doublings into the level width, so step heights past 2^63 never
+reach an int64 array.
+
 A query has one certificate: no level of A lies within n of the working
 tower's top, so every orbit segment of length n stays inside it. Values
 without it are flagged Unstable rather than approximated. Equal values at
@@ -104,25 +112,30 @@ class LevelSet:
         return len(self.levels) * level_width(self.stage)
 
 
-def _check_levels(hs: list[int], a: LevelSet) -> None:
+def _check_levels(hs: list[int], a: LevelSet) -> int:
     """Reject `a` unless it is a set of levels of its own stage tower and
-    that stage is not deeper than the working stage len(hs)."""
+    that stage is not deeper than the working stage len(hs); return its
+    highest level there, or 0 when it is empty."""
     if a.stage > len(hs):
         raise ValueError("working stage is shallower than the set's stage")
-    if a.levels and max(a.levels) >= hs[a.stage - 1]:
+    if not a.levels:
+        return 0
+    top = max(a.levels)
+    if top >= hs[a.stage - 1]:
         raise ValueError("level index outside its stage tower")
-    if a.levels and min(a.levels) < 0:
+    if min(a.levels) < 0:
         raise ValueError("negative level index")
+    return top
 
 
 def _top_level(hs: list[int], a: LevelSet) -> int:
     """Highest level index of `a` in the stage-j tower, j = len(hs), or 0
     when `a` is empty: a stage-i level l has its highest copy at
     l + h_i + ... + h_{j-1}."""
-    _check_levels(hs, a)
+    top = _check_levels(hs, a)
     if not a.levels:
         return 0
-    return max(a.levels) + sum(hs[a.stage - 1 : -1])
+    return top + sum(hs[a.stage - 1 : -1])
 
 
 def _pair_count(hs: list[int], a: LevelSet, n: int) -> int:
@@ -179,11 +192,17 @@ def min_exact_stage(spec: RankOneSpec, a: LevelSet, n_max: int) -> int:
     """Smallest working stage above A's own at which all times up to n_max
     are certified, i.e. h_j exceeds A's top level there by more than n_max.
     It exists: that gap grows by s_j from stage j to j+1, so it never
-    shrinks and grows by h_j at each tail stage."""
-    stage = a.stage + 1
-    while (hs := heights(spec, stage))[-1] - _top_level(hs, a) <= n_max:
+    shrinks and grows by h_j at each tail stage. A is checked once, and the
+    height and the top level then grow together, one stage per step."""
+    hs = heights(spec, a.stage)
+    h, top, stage = hs[-1], _check_levels(hs, a), a.stage
+    while True:
+        if a.levels:
+            top += h
+        h = 2 * h + (spec.spacers[stage - 1] if stage <= len(spec.spacers) else h)
         stage += 1
-    return stage
+        if h - top > n_max:
+            return stage
 
 
 class _Pairs(Sequence):
@@ -245,34 +264,59 @@ def correlation_series(
     leaves the tower within n_max steps. From that stage on, D only doubles
     on [0, n_max] while the width halves, so every deeper stage gives the
     same series.
-    It is built from A's own levels by D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|)
-    on an int64 array as long as the difference span; when the grown set is
-    small next to that span, its pairs are counted directly instead. Counts
-    are at most the square of the tower height, so int64 is exact for any
-    array that fits in memory. A negative n_max raises.
-    The values are one tuple holding one shared Fraction per distinct count,
-    and the series' (n, value) pairs are made as they are read. A stored
-    pair per time left n_max+1 objects for the cyclic garbage collector to
-    track, and its repeated full passes over them were the largest cost of
-    a long series.
+    It is built from A's own levels, as offsets from the least one, by
+    D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|) on an int64 array as long as the
+    difference span; when the grown set is small next to that span, its
+    pairs are counted directly instead. Growth stops at the first far step
+    (see `_near_steps`): the later steps only double D on [0, n_max], and
+    the doublings are folded into the denominator. Counts are at most the
+    square of the grown set's size, so int64 is exact for any array that
+    fits in memory; a set that would span 2^63 levels or more raises
+    ValueError, as does a negative n_max.
+    The values are one tuple holding one shared Fraction per distinct
+    count, built without a Python call per time: one sort of the counts
+    gives the distinct ones, one Fraction is made for each, and a
+    searchsorted of the counts among them gathers those Fractions from an
+    object array into the tuple. The series' (n, value) pairs are made as
+    they are read. A stored pair per time left n_max+1 objects for the
+    cyclic garbage collector to track, and its repeated full passes over
+    them were the largest cost of a long series.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     stage = min_exact_stage(spec, a, n_max)
+    steps = heights(spec, stage)[a.stage - 1 : -1]
     counts = np.zeros(n_max + 1, dtype=np.int64)
     if a.levels:
-        d = _grown_differences(
-            np.array(sorted(a.levels), dtype=np.int64),
-            heights(spec, stage)[a.stage - 1 : -1],
-            n_max,
-        )[: n_max + 1]
+        low = min(a.levels)
+        offsets = sorted(l - low for l in a.levels)
+        steps = _near_steps(steps, offsets[-1], n_max)
+        d = _grown_differences(np.array(offsets, dtype=np.int64), steps, n_max)[
+            : n_max + 1
+        ]
         counts[: len(d)] = d
-    # one shared Fraction per distinct count, not one product per n
-    distinct = np.unique(counts)
-    w = level_width(stage)
-    shared = [c * w for c in distinct.tolist()]
-    values = map(shared.__getitem__, np.searchsorted(distinct, counts).tolist())
+    # the level width 2^(1-stage), times 2 for each far step left out of counts
+    den = 2 ** (a.stage - 1 + len(steps))
+    ordered = np.sort(counts)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    shared = np.array([Fraction(c, den) for c in distinct.tolist()], dtype=object)
+    values = shared[np.searchsorted(distinct, counts)].tolist()
     return CorrelationSeries(_Pairs(tuple(values)))
+
+
+def _near_steps(steps: Sequence[int], span: int, n_max: int) -> Sequence[int]:
+    """The steps before the first far one (see the module docstring), for a
+    set whose levels span `span`: h is far when h - span > n_max, where
+    span grows by each step taken. Raises ValueError when the set grown by
+    the near steps spans 2^63 levels or more, which int64 cannot hold."""
+    for k, h in enumerate(steps):
+        if h - span > n_max:
+            steps = steps[:k]
+            break
+        span += h
+    if span >= 1 << 63:
+        raise ValueError("level set spans 2^63 levels or more, past int64 offsets")
+    return steps
 
 
 # differences held at once while counting level pairs

@@ -121,6 +121,36 @@ def test_rankone_correlate_rejects_stage_zero(tmp_path, capsys):
     )
 
 
+def test_rankone_correlate_past_int64_step_heights(tmp_path, capsys):
+    from ergolab import rank_one as r1
+
+    out = tmp_path / "corr.csv"
+    zeros = ",".join(["0"] * 66)
+    for h1, spacers, stage, levels in (
+        (2**63, "0", 1, (0, 5)),  # the first step height is 2^63
+        (1, zeros, 64, (0,)),  # h_64 = 2^63 after 63 zero spacers
+    ):
+        argv = ["rankone", "correlate", "--h1", str(h1), "--spacers", spacers,
+                "--A", f"{stage}:" + ",".join(map(str, levels)), "--n-max", "8",
+                "--out", str(out)]
+        assert run(argv) == 0, argv
+        spec = r1.RankOneSpec(h1, tuple(map(int, spacers.split(","))))
+        a = r1.LevelSet(stage, frozenset(levels))
+        working = r1.min_exact_stage(spec, a, 8)
+        assert out.read_text().splitlines() == ["n,numerator,denominator"] + [
+            f"{n},{v.numerator},{v.denominator}"
+            for n, v in ((n, r1.correlation(spec, a, n, working)) for n in range(9))
+        ]
+    for written in tmp_path.iterdir():
+        written.unlink()
+    # a set spanning 2^63 levels is a domain error, not a traceback
+    argv = ["rankone", "correlate", "--h1", str(2**63 + 1), "--spacers", "0",
+            "--A", f"1:0,{2**63}", "--n-max", "8", "--out", str(out)]
+    assert run(argv) == 1
+    assert "error: level set spans 2^63 levels or more" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_rankone_design_and_decompose(tmp_path):
     out = tmp_path / "design.json"
     intervals = ",".join(f"{10**j}:{2 * 10**j}" for j in range(2, 7))

@@ -233,6 +233,160 @@ def test_long_series_holds_no_object_per_time():
     assert grown <= 1000, grown
 
 
+def reference_series(spec, a, n_max):
+    """The series by another route: counts grown from A's own levels over
+    every step to the working stage, far ones included, np.unique for the
+    distinct counts, one product with the level width per distinct count
+    and a Python call per time to pick each shared value."""
+    stage = r1.min_exact_stage(spec, a, n_max)
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    if a.levels:
+        d = r1._grown_differences(
+            np.array(sorted(a.levels), dtype=np.int64),
+            r1.heights(spec, stage)[a.stage - 1 : -1],
+            n_max,
+        )[: n_max + 1]
+        counts[: len(d)] = d
+    distinct = np.unique(counts)
+    w = r1.level_width(stage)
+    shared = [c * w for c in distinct.tolist()]
+    values = map(shared.__getitem__, np.searchsorted(distinct, counts).tolist())
+    return r1.CorrelationSeries(tuple(enumerate(values)))
+
+
+def benchmark_series_cases():
+    """(name, spec, A, n_max) for the three benchmark constructions: a set
+    of the given size and stage that holds its stage's top level, and the
+    horizon the benchmark asks of it."""
+    rng = random.Random(19)
+    squares = r1.design_spacers(r1.gap_intervals((k * k for k in range(1, 400)), 9), 1)
+    decades = r1.design_spacers([(10**j, 2 * 10**j) for j in range(2, 7)], 1)
+    shapes = (
+        ("squares", squares.spec, 3, 12, 10**4),
+        ("decades", decades.spec, 3, 384, 10**5),
+        ("geometric", geometric_spec(13), 5, 48, 5000),
+    )
+    for name, spec, stage, size, n_max in shapes:
+        top = r1.heights(spec, stage)[-1] - 1
+        a = r1.LevelSet(stage, frozenset([top] + rng.sample(range(top), size - 1)))
+        yield name, r1.extend_spec(spec, a, n_max), a, n_max
+
+
+def test_series_matches_the_unique_and_product_reference(monkeypatch):
+    pair_sizes = []
+    real = r1._pair_differences
+    monkeypatch.setattr(
+        r1, "_pair_differences",
+        lambda s, length: pair_sizes.append(len(s)) or real(s, length),
+    )
+    cases = list(benchmark_series_cases()) + [
+        ("empty A", geometric_spec(6), r1.LevelSet(3, frozenset()), 40),
+        ("n_max = 0", geometric_spec(6), r1.LevelSet(2, frozenset([0, 2])), 0),
+        # one level and no time past 0: a single distinct count
+        ("one count", r1.RankOneSpec(4, ()), r1.LevelSet(1, frozenset([3])), 0),
+        # levels far apart in a tower just above them: the grown set is
+        # small next to its span, so its pairs are counted directly
+        ("pairs", r1.RankOneSpec(10**6 + 1, (0, 0)),
+         r1.LevelSet(1, frozenset([0, 10**6])), 10),
+    ]
+    rng = random.Random(1904)
+    for _ in range(40):
+        spec = r1.RankOneSpec(rng.randint(1, 5), tuple(rng.randint(0, 4) for _ in range(3)))
+        stage = rng.randint(1, 3)
+        h = r1.heights(spec, stage)[-1]
+        a = r1.LevelSet(stage, frozenset(rng.sample(range(h), rng.randint(0, min(h, 5)))))
+        cases.append(("random", spec, a, rng.randint(0, 60)))
+    covered = set()
+    for name, spec, a, n_max in cases:
+        pair_sizes.clear()
+        got = r1.correlation_series(spec, a, n_max)
+        if pair_sizes and len(a.levels) > 1:
+            covered.add("pairs" if pair_sizes[0] > len(a.levels) else "recursion")
+        values = [v for _, v in got.entries]
+        assert got.entries == reference_series(spec, a, n_max).entries, name
+        assert all(type(v) is Fraction for v in values), name
+        # one shared object per distinct value
+        assert len({id(v) for v in values}) == len(set(values)), name
+        if name == "one count":
+            assert values == [Fraction(1)]
+        if a.levels:
+            steps = r1.heights(spec, r1.min_exact_stage(spec, a, n_max))[a.stage - 1 : -1]
+            span = max(a.levels) - min(a.levels)
+            if len(r1._near_steps(steps, span, n_max)) < len(steps):
+                covered.add("far step")
+    assert covered == {"pairs", "recursion", "far step"}
+
+
+def min_exact_stage_reference(spec, a, n_max):
+    """The certifying stage found by trying each stage in turn, with the
+    heights and A's top level recomputed from h1 for every candidate."""
+    stage = a.stage + 1
+    while (hs := r1.heights(spec, stage))[-1] - r1._top_level(hs, a) <= n_max:
+        stage += 1
+    return stage
+
+
+def test_min_exact_stage_matches_the_stage_by_stage_search():
+    rng = random.Random(20260419)
+    covered = set()
+    for _ in range(400):
+        spec = r1.RankOneSpec(
+            rng.randint(1, 6),
+            tuple(rng.choice([0, 1, rng.randint(0, 20)]) for _ in range(rng.randint(0, 6))),
+        )
+        stage = rng.randint(1, spec.max_stage + 2)
+        place = (stage > spec.max_stage) - (stage < spec.max_stage)
+        covered.add(("below", "at", "past")[place + 1])
+        h = r1.heights(spec, stage)[-1]
+        a = r1.LevelSet(stage, frozenset(rng.sample(range(h), rng.randint(0, min(h, 6)))))
+        n_max = rng.choice([0, rng.randint(0, 10), rng.randint(0, 10**4)])
+        covered.add("n_max = 0" if n_max == 0 else "n_max > 0")
+        covered.add("empty" if not a.levels else "levels")
+        assert r1.min_exact_stage(spec, a, n_max) == min_exact_stage_reference(spec, a, n_max)
+    assert covered == {"below", "at", "past", "n_max = 0", "n_max > 0", "empty", "levels"}
+    # the set is checked once, with the errors of the stage-by-stage search
+    spec = geometric_spec(3)
+    for levels, message in (([0, -1], "negative level index"), ([3], "outside its stage tower")):
+        for search in (r1.min_exact_stage, min_exact_stage_reference):
+            with pytest.raises(ValueError, match=message):
+                search(spec, r1.LevelSet(2, frozenset(levels)), 5)
+
+
+def test_series_past_int64_step_heights_matches_pointwise():
+    cases = [
+        # the first step height is 2^63: D only doubles from there on
+        (r1.RankOneSpec(2**63, ()), r1.LevelSet(1, frozenset([0, 5])), 8),
+        # 63 zero spacers reach h_64 = 2^63 with a one-level set
+        (r1.RankOneSpec(1, (0,) * 66), r1.LevelSet(64, frozenset([0])), 8),
+        # levels themselves past int64, read as offsets from the least one
+        (r1.RankOneSpec(2**65, (3,)), r1.LevelSet(1, frozenset([2**64, 2**64 + 3])), 7),
+    ]
+    for spec, a, n_max in cases:
+        stage = r1.min_exact_stage(spec, a, n_max)
+        series = r1.correlation_series(spec, a, n_max)
+        assert [v for _, v in series.entries] == [
+            r1.correlation(spec, a, n, stage) for n in range(n_max + 1)
+        ]
+    assert [v for _, v in r1.correlation_series(*cases[0]).entries] == [
+        2, 0, 0, 0, 0, 1, 0, 0, 0,
+    ]
+    assert r1.correlation_series(*cases[1]).value(0) == Fraction(1, 2**63)
+
+
+def test_series_of_a_set_spanning_int64_raises():
+    for spec, a in (
+        # A itself spans 2^63 levels
+        (r1.RankOneSpec(2**63 + 1, ()), r1.LevelSet(1, frozenset([0, 2**63]))),
+        # A spans less, but its first copy lies within n_max of it
+        (r1.RankOneSpec(3 * 2**61, (0,)), r1.LevelSet(1, frozenset([0, 3 * 2**61 - 1]))),
+    ):
+        with pytest.raises(ValueError, match="spans 2\\^63 levels or more"):
+            r1.correlation_series(spec, a, 8)
+        # the point query needs no array and still answers
+        stage = r1.min_exact_stage(spec, a, 8)
+        assert r1.correlation(spec, a, 1, stage) == propagated_correlation(spec, a, 1, stage)
+
+
 def test_series_pairs_read_as_a_tuple_of_pairs():
     series = _decades_series(300)
     pairs = tuple(series.entries)
