@@ -484,7 +484,7 @@ def test_seeded_reruns_are_byte_identical(tmp_path):
 
 
 def reference_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
 
 
 def test_json_writer_matches_json_dumps_on_every_payload(tmp_path, monkeypatch):
@@ -519,6 +519,10 @@ def test_json_writer_matches_json_dumps_on_every_payload(tmp_path, monkeypatch):
         ["f2", "verify", "--radius", "1"],
         ["f2", "search", "--radius", "2", "--budget", "300", "--seed", "4"],
     ]
+    # atom lists whose largest atom gains a digit, seeded and standard
+    for n in (1, 2, 3, 10, 11, 100, 101, 1000):
+        json_runs.append(["involutions", "--n", str(n)])
+        json_runs.append(["involutions", "--n", str(n), "--seed", str(n)])
     # outputs in other formats; only their manifests are JSON
     other_runs = [
         ["rankone", "correlate", "--intervals", intervals, "--A", "level:5",
@@ -551,10 +555,73 @@ def test_json_writer_matches_json_dumps_on_synthetic_payloads():
         (1, (2, 3), [4]),
         {"z": 1, "a": {"y": [1, 2], "b": ()}, "m": [[{"x": 0}]]},
     ]
+    # 1-D int64 arrays: a zero inside a number must not read as a leading zero
+    edges = [0, 7, 100, 1001, 10**9, 999_999_999, 1_000_000_000, 2**32 - 1,
+             2**32, -1, -10, -1001, -(2**63), 2**63 - 1, 10, 0]
+    arrays = [np.array(v, dtype=np.int64) for v in (
+        [], [0], [5], [-5], [100], [1001], [10**9], [999_999_999],
+        [1_000_000_000], [2**32 - 1], [2**32], [-(2**63)], [2**63 - 1],
+        [0, 10, 100, 1000, 10, 0], [9, 10, 99, 100, 999, 1000, 1001, 1010],
+        edges, edges[::-1], edges[:9], edges[9:],
+    )]
+    arrays.append(np.arange(-1200, 1200, 7, dtype=np.int64)[::3])  # a strided view
+    arrays.append(np.random.default_rng(5).permutation(12345).astype(np.int64))
+    payloads += arrays
+    payloads += [
+        {"n": 3, "map": arrays[14], "inner": {"deep": [arrays[15], [arrays[1]]]}},
+        [arrays[0], arrays[2], 4, [arrays[-1]], {"a": arrays[13]}],
+        (arrays[15], "x", None),
+    ]
     for payload in payloads:
         assert cli._json_text(payload) + "\n" == reference_json(payload), payload
-    for bad in ({(1, 2): 0}, {"a": 1, 2: 3}, [object()]):
+    bad_arrays = [
+        np.array([True, False]),
+        np.array([1.0, 2.5]),
+        np.arange(6, dtype=np.int64).reshape(2, 3),
+        np.array(7, dtype=np.int64),
+        np.array([1, "a"], dtype=object),
+        np.arange(4, dtype=np.int32),
+    ]
+    for bad in ({(1, 2): 0}, {"a": 1, 2: 3}, [object()], *bad_arrays,
+                {"a": bad_arrays[0]}, [1, bad_arrays[2]]):
         with pytest.raises(TypeError):
             json.dumps(bad, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             cli._json_text(bad)
+
+
+def test_csv_writer_matches_a_join_of_str_per_row(tmp_path, monkeypatch):
+    """Every CSV action writes the header, then ",".join(map(str, row)) per
+    row, float entropy rows included."""
+    written = []
+    write_csv = cli._write_csv
+
+    def checked(path, header, rows):
+        rows = list(rows)
+        write_csv(path, header, rows)
+        written.append(path)
+        expected = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+        with open(path, encoding="ascii", newline="") as fh:
+            assert fh.read() == "\n".join(expected) + "\n", path
+        assert all(type(row) is tuple and len(row) == len(header) for row in rows)
+
+    monkeypatch.setattr(cli, "_write_csv", checked)
+    csv_runs = [
+        ["rankone", "correlate", "--intervals", "100:200,1000:2000", "--A", "level:5",
+         "--n-max", "40"],
+        ["rankone", "correlate", "--spacers", "1,0,3", "--A", "2:0,1,2", "--n-max", "30"],
+        ["recurrence", "profile", "--n", "9", "--A", "0,1", "--A2", "4", "--N", "4"],
+        ["recurrence", "profile", "--n", "40", "--A", "0,3,5,11", "--N", "12"],
+        ["ledrappier", "trace", "--n", "64", "--m", "64", "--seed", "3",
+         "--start", "23,32"],
+        ["ledrappier", "trace", "--n", "32", "--m", "32", "--seed", "4",
+         "--start", "5,6", "--direction", "right"],
+        ["mosaic", "entropy", "--widths", "1,2,3,4,5", "--h", "4", "--k", "2"],
+        ["mosaic", "entropy", "--widths", "1,3,6", "--h", "3", "--k", "3",
+         "--adjacency", "4"],
+    ]
+    for i, argv in enumerate(csv_runs):
+        assert run(argv + ["--out", str(tmp_path / f"{i}.csv")]) == 0, argv
+    assert len(written) == len(csv_runs)
+    entropy = (tmp_path / "6.csv").read_text().splitlines()
+    assert entropy[0] == "w,h,entropy_per_site" and "." in entropy[1].split(",")[2]
