@@ -6,8 +6,9 @@ ergodicity are modelled by restricting tower constructions to single
 n-cycles; all measures are exact rationals.
 
 The bijection has one representation: a read-only int64 array with
-map[i] the image of atom i, composed in function order (see `perms`).
-Atom sets stay frozensets of Python ints.
+map[i] the atom that atom i goes to, composed in function order (see
+`perms`). An atom set has one too: a sorted, distinct, read-only int64
+array of atom indices, checked once when the `AtomSet` is built.
 
 A system lists its map's cycles through `cycles()` (see `perms.cycles`).
 `walk`, the case of exactly one cycle, gives towers and the involution
@@ -64,11 +65,8 @@ class FinitePermutationSystem:
             raise ValueError("system must be a single n-cycle")
         return order
 
-    def image(self, s: "AtomSet") -> "AtomSet":
-        return AtomSet(frozenset(self.map[s.indices()].tolist()), self.n)
-
-    def subset(self, members: Iterable[int]) -> "AtomSet":
-        return AtomSet(frozenset(members), self.n)
+    def subset(self, atoms: Iterable[int] | np.ndarray) -> "AtomSet":
+        return AtomSet(atoms, self.n)
 
     @staticmethod
     def _from_walk(order: np.ndarray) -> "FinitePermutationSystem":
@@ -101,35 +99,48 @@ class FinitePermutationSystem:
         return FinitePermutationSystem._from_walk(np.concatenate((order[start:], order[:start])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomSet:
-    """A measurable set: a subset of the n atoms. Measure is never stored."""
+    """A subset of the n atoms, as `atoms`: a sorted, distinct, read-only
+    int64 array. Any iterable of ints or integer array is accepted, repeats
+    dropped; ValueError unless each is in {0..n-1}. Measure is never
+    stored, and equality is identity.
+    """
 
-    members: frozenset[int]
+    atoms: np.ndarray
     n: int
 
     def __post_init__(self):
-        if self.members and (min(self.members) < 0 or max(self.members) >= self.n):
+        a = self.atoms
+        a = np.asarray(a if isinstance(a, np.ndarray) else list(a))
+        # ints past int64 give an object array, or a float one if of both signs
+        if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= self.n):
             raise ValueError("atom index out of range")
+        a = np.sort(a.astype(np.int64, copy=False))
+        if a.size > 1:
+            a = a[np.concatenate(([True], a[1:] != a[:-1]))]
+        a.flags.writeable = False
+        object.__setattr__(self, "atoms", a)
 
     @property
     def measure(self) -> Fraction:
-        return Fraction(len(self.members), self.n)
+        return Fraction(self.atoms.size, self.n)
 
     def __contains__(self, i: int) -> bool:
-        return i in self.members
+        k = np.searchsorted(self.atoms, i)
+        return k < self.atoms.size and self.atoms[k] == i
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.atoms.size
 
     def indices(self) -> np.ndarray:
-        """The members as an int64 array, in no particular order."""
-        return np.fromiter(self.members, dtype=np.int64, count=len(self.members))
+        """The atoms as their sorted, read-only int64 array (no copy)."""
+        return self.atoms
 
     def mask(self) -> np.ndarray:
         """Boolean membership array over the n atoms."""
         m = np.zeros(self.n, dtype=bool)
-        m[self.indices()] = True
+        m[self.atoms] = True
         return m
 
 
@@ -140,12 +151,6 @@ class Tower:
     base: AtomSet
     height: int
     residual: AtomSet
-
-    def levels(self, sys: FinitePermutationSystem) -> list[AtomSet]:
-        out = [self.base]
-        for _ in range(self.height - 1):
-            out.append(sys.image(out[-1]))
-        return out
 
 
 def validate_tower(sys: FinitePermutationSystem, tower: Tower) -> bool:
@@ -169,8 +174,7 @@ def _tower(order: np.ndarray, h: int, roof: Sequence[int]) -> Tower:
     """
     n = order.size
     c = roof[0] % h if len(roof) else 0
-    base = frozenset(np.delete(order, roof)[c::h].tolist())
-    return Tower(AtomSet(base, n), h, AtomSet(frozenset(order[roof].tolist()), n))
+    return Tower(AtomSet(np.delete(order, roof)[c::h], n), h, AtomSet(order[roof], n))
 
 
 def rokhlin_tower(sys: FinitePermutationSystem, h: int) -> Tower:

@@ -249,12 +249,11 @@ def search_best(radius: int, budget: int, seed: int) -> RokhlinCertificate:
     Starts from the local-peak baseline; each of the RESTARTS climbs draws
     budget // RESTARTS proposals with its own derived seed, so the remainder
     budget % RESTARTS is never drawn and budgets 1 to RESTARTS - 1 return the
-    baseline. Of the baseline and the climbs, only non-empty sets that
-    `verify_rokhlin_family` accepts are candidates; the best wins by measure,
-    ties by lexicographically least assignment tuple, and the returned
-    certificate is re-verified from scratch. Raises Infeasible when no
-    candidate remains (at radius 1 the baseline fails and no single
-    assignment avoids its own translates).
+    baseline. The baseline and the climbs' non-empty sets are ranked by
+    measure, ties by lexicographically least assignment tuple, and
+    `verify_rokhlin_family` checks them in that order: the first that passes
+    is returned. Raises Infeasible when none passes (at radius 1 the
+    baseline fails and no single assignment avoids its own translates).
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -273,17 +272,9 @@ def search_best(radius: int, budget: int, seed: int) -> RokhlinCertificate:
         seeds = [master.randrange(2 ** 32) for _ in range(RESTARTS)]
         projection = _family_projection(window)
         found += [_climb(projection, base.assignments, share, s) for s in seeds]
-    candidates = [
-        p for p in found
-        if p and verify_rokhlin_family(CylinderPatternSet(window, frozenset(p))).verdict
-    ]
-    if not candidates:
-        raise Infeasible(
-            f"no verified non-empty Rokhlin family at radius {radius}"
-        )
-    # deterministic merge: largest measure, ties by least assignment tuple
-    best = min(candidates, key=lambda p: (-len(p), tuple(sorted(p))))
-    cert = verify_rokhlin_family(CylinderPatternSet(window, frozenset(best)))
-    if not cert.verdict:
-        raise AssertionError("search produced an unverifiable certificate")
-    return cert
+    ranked = sorted({tuple(sorted(p)) for p in found if p}, key=lambda t: (-len(t), t))
+    for p in ranked:
+        cert = verify_rokhlin_family(CylinderPatternSet(window, frozenset(p)))
+        if cert.verdict:
+            return cert
+    raise Infeasible(f"no verified non-empty Rokhlin family at radius {radius}")

@@ -17,7 +17,7 @@ from ergolab.core import FinitePermutationSystem
 from ergolab.errors import Infeasible
 from ergolab.involutions import factor_three_involutions
 
-from test_core import brute_force_roof_subsets, walk_from_atom_0
+from test_core import brute_force_roof_subsets, members, walk_from_atom_0
 from test_mosaics import brute_force_count
 from test_rank_one import geometric_spec
 
@@ -63,7 +63,7 @@ def test_02_tower_correctness_against_brute_force():
                     assert not feasible, (n, h, y_atoms)
                 else:
                     assert feasible and core.validate_tower(sys_, t)
-                    assert t.residual.members <= frozenset(y_atoms)
+                    assert members(t.residual) <= frozenset(y_atoms)
                 checked += 1
     # seeded sample of target sets for n up to 20
     rng = random.Random(7)
@@ -182,16 +182,16 @@ def test_05_mixing_along_zero_density_squares():
 def test_06_recurrence_matches_double_loop_oracle():
     def oracle_average(sys_, a, a1, a2, horizon):
         inv = {v: k for k, v in enumerate(sys_.map)}
-        total = 0
+        total, in1, in2 = 0, members(a1), members(a2)
         for i in range(1, horizon + 1):
-            for x in a.members:
+            for x in members(a):
                 y = x
                 for _ in range(i):
                     y = inv[y]
                 z = y
                 for _ in range(i):
                     z = inv[z]
-                if y in a1.members and z in a2.members:
+                if y in in1 and z in in2:
                     total += 1
         return Fraction(total, sys_.n * horizon)
 
@@ -218,15 +218,15 @@ def test_06_recurrence_matches_double_loop_oracle():
         i = rng.randrange(0, 2 * n)
         got = rec.triple_intersection(sys_, a, a1, a2, i)
         inv = {v: k for k, v in enumerate(sys_.map)}
-        count = 0
-        for x in a.members:
+        count, in1, in2 = 0, members(a1), members(a2)
+        for x in members(a):
             y = x
             for _ in range(i):
                 y = inv[y]
             z = y
             for _ in range(i):
                 z = inv[z]
-            if y in a1.members and z in a2.members:
+            if y in in1 and z in in2:
                 count += 1
         assert got == Fraction(count, n)
         if len(a) and a.measure > 0:

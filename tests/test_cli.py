@@ -249,6 +249,30 @@ def test_recurrence_explicit_empty_sets_are_used(tmp_path):
     assert out2.read_text().splitlines()[1:] == ["1,0,1", "2,0,1"]
 
 
+def test_repeated_set_items_write_the_same_bytes_as_distinct_ones(tmp_path):
+    for argv, repeated, distinct in (
+        (["tower", "--n", "8", "--h", "3"], ["--y", "0,0,4,4"], ["--y", "0,4"]),
+        (["recurrence", "average", "--n", "5", "--N", "5"],
+         ["--A", "0,0,2"], ["--A", "0,2"]),
+    ):
+        outs = [tmp_path / "repeated.json", tmp_path / "distinct.json"]
+        for flags, out in zip((repeated, distinct), outs):
+            assert run(argv + flags + ["--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tower", "--n", "8", "--h", "3", "--y", "18446744073709551616"],
+    ["recurrence", "average", "--n", "5", "--A=-1,9223372036854775808", "--N", "5"],
+    ["recurrence", "average", "--n", "5", "--A=-36893488147419103232", "--N", "5"],
+])
+def test_set_items_outside_int64_are_out_of_range(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "atom index out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_recurrence_horizon_below_one_is_a_domain_error(tmp_path, capsys):
     for action in ("average", "witness", "profile"):
         for horizon in ("0", "-3"):

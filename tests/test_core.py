@@ -28,6 +28,11 @@ def brute_force_roof_subsets(n, h, y_pos):
                 yield sub
 
 
+def members(s):
+    """The atoms of an AtomSet as a frozenset of Python ints."""
+    return frozenset(s.indices().tolist())
+
+
 def walk_from_atom_0(p):
     """Atom 0's orbit in p's order, one step at a time: the oracle walk,
     made apart from the code under test."""
@@ -41,15 +46,15 @@ def walk_from_atom_0(p):
 def test_rokhlin_examples():
     sys_ = FinitePermutationSystem.cycle(12)
     t = core.rokhlin_tower(sys_, 11)
-    assert sorted(t.base.members) == [0]
-    assert sorted(t.residual.members) == [11]
-    assert sys_.map[11] in t.base.members  # roof returns to the base
+    assert t.base.indices().tolist() == [0]
+    assert t.residual.indices().tolist() == [11]
+    assert sys_.map[11] in t.base  # roof returns to the base
     assert core.validate_tower(sys_, t)
 
     sys_ = FinitePermutationSystem.cycle(10)
     t = core.rokhlin_tower(sys_, 3)
-    assert sorted(t.base.members) == [0, 3, 6]
-    assert sorted(t.residual.members) == [9]
+    assert t.base.indices().tolist() == [0, 3, 6]
+    assert t.residual.indices().tolist() == [9]
     assert t.residual.measure == Fraction(1, 10)
     assert core.validate_tower(sys_, t)
 
@@ -81,12 +86,12 @@ def test_rokhlin_residual_bound_all_small():
 def test_lehrer_weiss_examples():
     sys_ = FinitePermutationSystem.cycle(7)
     t = core.lehrer_weiss_tower(sys_, 3, sys_.subset([0]))
-    assert sorted(t.residual.members) == [0]
+    assert t.residual.indices().tolist() == [0]
     assert core.validate_tower(sys_, t)
 
     sys_ = FinitePermutationSystem.cycle(8)
     t = core.lehrer_weiss_tower(sys_, 3, sys_.subset([0, 4]))
-    assert sorted(t.residual.members) == [0, 4]
+    assert t.residual.indices().tolist() == [0, 4]
     assert core.validate_tower(sys_, t)
 
     with pytest.raises(Infeasible):
@@ -159,10 +164,10 @@ def test_lehrer_weiss_matches_brute_force_small():
                 else:
                     assert feasible, (n, h, sorted(y_pos))
                     assert core.validate_tower(sys_, t)
-                    assert t.residual.members <= y.members
+                    assert members(t.residual) <= members(y)
                     assert len(t.residual) == n % h
                     # the oracle yields by size, then lexicographically
-                    roof = sorted(pos_of[a] for a in t.residual.members)
+                    roof = sorted(pos_of[a] for a in members(t.residual))
                     assert roof == list(first)
 
 
@@ -172,12 +177,13 @@ def test_tower_disjoint_cover_property(n, seed, data):
     sys_ = FinitePermutationSystem.random_cycle(n, seed)
     h = data.draw(st.integers(1, n))
     t = core.rokhlin_tower(sys_, h)
-    levels = t.levels(sys_)
-    seen = set()
-    for lv in levels:
-        assert not (seen & lv.members)
-        seen |= lv.members
-    assert not (seen & t.residual.members)
+    level, seen = t.base.indices(), set()
+    for _ in range(t.height):  # level k is T^k base, stepped along the map
+        lv = set(level.tolist())
+        assert not (seen & lv)
+        seen |= lv
+        level = sys_.map[level]
+    assert not (seen & members(t.residual))
     assert len(seen) + len(t.residual) == n
 
 
@@ -190,6 +196,33 @@ def test_atom_set_measure_is_computed():
     empty = core.AtomSet(frozenset(), 12)
     assert len(empty) == 0 and empty.measure == 0
     assert core.AtomSet(frozenset([0, 11]), 12).measure == Fraction(1, 6)
+    # one sorted, distinct, read-only int64 array, whatever the input
+    given = np.array([9, 4, 0, 4, 11, 9], dtype=np.int64)
+    for atoms in (
+        frozenset([0, 4, 9, 11]), [11, 4, 0, 9, 4], (a for a in (9, 0, 11, 4)),
+        given, given.astype(np.uint8), np.array([11, 9, 4, 0], dtype=np.int32),
+    ):
+        s = core.AtomSet(atoms, 12)
+        got = s.indices()
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == [0, 4, 9, 11] and got is s.indices()  # no copy
+        assert len(s) == 4 and s.measure == Fraction(1, 3)
+        assert s.mask().tolist() == [a in (0, 4, 9, 11) for a in range(12)]
+        assert [a for a in range(-3, 15) if a in s] == [0, 4, 9, 11]
+        assert -1 not in s and 12 not in s and 2**70 not in s and -(2**70) not in s
+    assert given.flags.writeable and given.tolist() == [9, 4, 0, 4, 11, 9]
+    for empty in ([], frozenset(), np.array([], dtype=np.int64), iter(())):
+        e = core.AtomSet(empty, 12)
+        assert len(e) == 0 and e.measure == 0 and e.indices().dtype == np.int64
+        assert 0 not in e and not e.mask().any()
+    # out of int64 range (numpy would make object or float arrays of these),
+    # or not integers at all
+    for bad in (
+        [2**64], [-1, 2**63], [-(2**65)], [2**70, 3], np.array([12], np.uint64),
+        [1.5], [True], np.array([0.0]),
+    ):
+        with pytest.raises(ValueError, match="atom index out of range"):
+            core.AtomSet(bad, 12)
 
 
 WALK_SIZES = (1, 2, 3, 11, 12, 997)
@@ -233,7 +266,7 @@ def _tower_sets(build, *args):
         t = build(*args)
     except Infeasible:
         return None
-    return t.base.members, t.residual.members
+    return t.base.indices().tolist(), t.residual.indices().tolist()
 
 
 def test_caller_map_matches_the_constructor_it_copies():

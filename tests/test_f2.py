@@ -281,6 +281,51 @@ def test_search_matches_the_per_mask_reference_climb(monkeypatch):
     assert redrawn > 0  # some climb drew a member again and kept the same set
 
 
+def test_search_verifies_once_when_the_best_candidate_passes(monkeypatch):
+    calls = []
+    verify = f2.verify_rokhlin_family
+
+    def counted(b):
+        calls.append(b)
+        return verify(b)
+
+    monkeypatch.setattr(f2, "verify_rokhlin_family", counted)
+    for budget in (0, 3000):
+        calls.clear()
+        cert = f2.search_best(2, budget, seed=7)
+        assert cert.verdict and calls == [cert.base], budget
+
+
+def test_search_returns_the_next_ranked_set_when_the_best_fails(monkeypatch):
+    climbs = []
+    batched, verify = f2._climb, f2.verify_rokhlin_family
+
+    def recorded(*args):
+        climbs.append(batched(*args))
+        return climbs[-1]
+
+    monkeypatch.setattr(f2, "_climb", recorded)
+    base = f2.local_peak(2)
+    best = f2.search_best(2, 3000, seed=7).base.assignments
+    ranked = sorted(
+        {frozenset(p) for p in [base.assignments] + climbs if p},
+        key=lambda p: (-len(p), tuple(sorted(p))),
+    )
+    assert ranked[0] == best and len(ranked) > 1
+
+    def rejecting(b):
+        cert = verify(b)
+        return f2.RokhlinCertificate(b, False, b.measure) if b.assignments == best else cert
+
+    monkeypatch.setattr(f2, "verify_rokhlin_family", rejecting)
+    want = next(p for p in ranked[1:] if verify(f2.CylinderPatternSet(base.window, p)).verdict)
+    got = f2.search_best(2, 3000, seed=7)
+    assert got.verdict and got.base.assignments == want != best
+    best = base.assignments  # the baseline is the only candidate at budget 0
+    with pytest.raises(Infeasible):
+        f2.search_best(2, 0, seed=7)
+
+
 def test_self_overlap_filter_matches_single_mask_verification():
     # radius 1: every mask meets one of its own translates, checked by the
     # independent verifier; the batch filter keeps none of them

@@ -9,20 +9,22 @@ import pytest
 from ergolab import recurrence as rec
 from ergolab.core import FinitePermutationSystem
 
+from test_core import members
+
 
 def brute_triple(sys_, a, a1, a2, i):
     """Literal-orbit oracle: step the (inverse) map one atom at a time."""
     n = sys_.n
     inv = {v: k for k, v in enumerate(sys_.map)}
-    count = 0
-    for x in a.members:
+    count, in1, in2 = 0, members(a1), members(a2)
+    for x in members(a):
         y = x
         for _ in range(abs(i)):
             y = inv[y] if i >= 0 else sys_.map[y]
         z = y
         for _ in range(abs(i)):
             z = inv[z] if i >= 0 else sys_.map[z]
-        if y in a1.members and z in a2.members:
+        if y in in1 and z in in2:
             count += 1
     return Fraction(count, n)
 
@@ -141,7 +143,7 @@ def test_shift_invariance_of_triple_terms():
         i = seed % 7
         before = rec.triple_intersection(sys_, a, a1, a2, i)
         after = rec.triple_intersection(
-            sys_, sys_.image(a), sys_.image(a1), sys_.image(a2), i
+            sys_, *(sys_.subset(sys_.map[s.indices()]) for s in (a, a1, a2)), i
         )
         assert before == after
 
@@ -272,7 +274,7 @@ def _gather_count(sys_, a, a1, a2, i):
         if i & 1:
             back = step[back]
         step, i = step[step], i >> 1
-    y = back[np.fromiter(a.members, dtype=np.int64)]
+    y = back[a.indices()]
     return int(np.count_nonzero(a1.mask()[y] & a2.mask()[back[y]]))
 
 
@@ -282,7 +284,7 @@ def _gather_total(sys_, a, a1, a2, n_horizon):
     inv = np.empty(sys_.n, dtype=np.int64)
     inv[sys_.map] = np.arange(sys_.n)
     in1, in2 = a1.mask(), a2.mask()
-    y = z = np.fromiter(a.members, dtype=np.int64)
+    y = z = a.indices()
     total = 0
     for _ in range(n_horizon):
         y, z = inv[y], inv[inv[z]]
