@@ -5,6 +5,11 @@ free; at every interior cell the value equals the mod-2 sum of its four
 neighbours. Sampling fills the two bottom rows uniformly and propagates
 upward, which satisfies the relation by construction.
 
+Fields grow as packed rows: row y is one w-bit int whose bit x is cell
+(x, y), so a roll of the row by +-1 is a rotate of its word and the next row
+is ``row ^ rotl(row) ^ rotr(row) ^ prev``. The words are unpacked once into
+the uint8 cell array.
+
 The thread-walking rule here (move to the unique white cell among
 ahead-left/ahead/ahead-right, preferring forward, then right, then left) is
 one deterministic formalization of the visually thread-like traces; the
@@ -27,7 +32,7 @@ class HarmonicField:
     def __post_init__(self):
         if self.cells.ndim != 2:
             raise ValueError("cells must be a 2-D array")
-        if not np.isin(self.cells, (0, 1)).all():
+        if not _binary(self.cells):
             raise ValueError("cells must be 0/1 valued")
 
     @property
@@ -54,19 +59,46 @@ def sample_field(width: int, height: int, seed: int) -> HarmonicField:
 
 
 def field_from_rows(row0, row1, height: int) -> HarmonicField:
-    """Deterministic field grown from two given bottom rows."""
+    """Deterministic field grown from two given bottom rows.
+
+    Each row is held as one w-bit int, bit x standing for cell x; a roll by
+    +-1 is a rotate of that word, with the wrap bit carried across. All rows
+    are unpacked once, at the end, into the (height, w) uint8 cells.
+    """
     r0 = np.asarray(row0, dtype=np.uint8)
     r1 = np.asarray(row1, dtype=np.uint8)
     if r0.shape != r1.shape or r0.ndim != 1:
         raise ValueError("rows must be 1-D of equal length")
     if height < 2:
         raise ValueError("need height >= 2")
-    cells = np.zeros((height, r0.size), dtype=np.uint8)
-    cells[0], cells[1] = r0, r1
-    for y in range(1, height - 1):
-        row = cells[y]
-        cells[y + 1] = row ^ np.roll(row, 1) ^ np.roll(row, -1) ^ cells[y - 1]
+    width = r0.size
+    # allocated before the rows are checked or grown: a height that is not an
+    # int, or too large to hold, fails here
+    cells = np.empty((height, width), dtype=np.uint8)
+    # packbits would read any nonzero byte as 1
+    if not (_binary(r0) and _binary(r1)):
+        raise ValueError("cells must be 0/1 valued")
+    nbytes = (width + 7) // 8
+    mask = (1 << width) - 1
+    top = max(width - 1, 0)  # width 0 has no wrap bit
+    prev, row = (int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
+                 for r in (r0, r1))
+    words = [prev, row]
+    for _ in range(height - 2):
+        rotl = ((row << 1) & mask) | (row >> top)
+        rotr = (row >> 1) | ((row & 1) << top)
+        prev, row = row, row ^ rotl ^ rotr ^ prev
+        words.append(row)
+    packed = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words), np.uint8)
+    cells[:] = np.unpackbits(packed.reshape(height, nbytes), axis=1, count=width,
+                             bitorder="little")
     return HarmonicField(cells)
+
+
+def _binary(a: np.ndarray) -> bool:
+    """Every entry equals 0 or 1: np.isin(a, (0, 1)).all() at a fraction of
+    its cost."""
+    return bool(((a == 0) | (a == 1)).all())
 
 
 def _cross_holds(cells: np.ndarray, d: int) -> bool:

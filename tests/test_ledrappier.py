@@ -1,8 +1,28 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ergolab import cli
 from ergolab import ledrappier as led
+
+
+def reference_cells(row0, row1, height):
+    """The row-by-row np.roll growth that `field_from_rows` replaced by packed
+    row words; its cells are the byte-for-byte reference."""
+    r0 = np.asarray(row0, dtype=np.uint8)
+    r1 = np.asarray(row1, dtype=np.uint8)
+    cells = np.zeros((height, r0.size), dtype=np.uint8)
+    cells[0], cells[1] = r0, r1
+    for y in range(1, height - 1):
+        row = cells[y]
+        cells[y + 1] = row ^ np.roll(row, 1) ^ np.roll(row, -1) ^ cells[y - 1]
+    return cells
+
+
+def assert_same_cells(cells, expected):
+    assert cells.dtype == np.uint8 and cells.shape == expected.shape
+    assert cells.tobytes() == expected.tobytes()
 
 
 def cross(d):
@@ -35,6 +55,52 @@ def test_sample_field_satisfies_relation():
     for seed in range(20):
         f = led.sample_field(48, 40, seed)
         assert led.verify_harmonicity(f)
+
+
+def test_packed_rows_match_the_roll_reference():
+    # every width 1-130 (the 8-, 64- and 128-bit word boundaries included),
+    # every height 2-70, rows given as lists, bool arrays and uint8 arrays
+    rng = np.random.default_rng(0)
+    for width in range(1, 131):
+        for height in (2, 2 + width % 69, 70):
+            r0, r1 = rng.integers(0, 2, size=(2, width), dtype=np.uint8)
+            expected = reference_cells(r0, r1, height)
+            for form in (lambda r: r.tolist(), lambda r: r.astype(bool), lambda r: r):
+                f = led.field_from_rows(form(r0), form(r1), height)
+                assert_same_cells(f.cells, expected)
+
+
+def test_sampled_fields_match_the_roll_reference():
+    for width, height in ((64, 64), (96, 48), (128, 128), (2048, 2048)):
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            r0 = rng.integers(0, 2, size=width, dtype=np.uint8)
+            r1 = rng.integers(0, 2, size=width, dtype=np.uint8)
+            cells = led.sample_field(width, height, seed).cells
+            assert_same_cells(cells, reference_cells(r0, r1, height))
+
+
+def test_cell_check_is_the_isin_predicate():
+    rejected = [
+        np.array([[0, 2]]),
+        np.array([[0, -1]], dtype=np.int8),
+        np.array([[0.5, 1.0]]),
+        np.array([[255, 0]], dtype=np.uint8),
+        np.array([[np.nan, 0.0]]),
+    ]
+    accepted = [
+        np.array([[True, False]]),
+        np.array([[0, 1]], dtype=np.int64),
+        np.array([[0.0, 1.0], [-0.0, 1.0]]),
+        np.zeros((3, 0), dtype=np.uint8),
+    ]
+    for cells in rejected + accepted:
+        assert led._binary(cells) == bool(np.isin(cells, (0, 1)).all())
+    for cells in rejected:
+        with pytest.raises(ValueError, match="0/1 valued"):
+            led.HarmonicField(cells)
+    for cells in accepted:
+        assert led.HarmonicField(cells).cells is cells
 
 
 def test_zero_rows_stay_zero():
@@ -206,3 +272,18 @@ def test_field_from_rows_validation():
         led.field_from_rows([1, 0, 1], [0, 1, 1], 1)
     with pytest.raises(ValueError):
         led.field_from_rows([1, 0, 1], [0, 1], 4)
+    for bad in (2, 255):
+        for height in (2, 4):
+            with pytest.raises(ValueError, match="0/1 valued"):
+                led.field_from_rows([0, bad, 1], [1, 0, 1], height)
+            with pytest.raises(ValueError, match="0/1 valued"):
+                led.field_from_rows(np.array([1, 0, 1], dtype=np.uint8),
+                                    np.array([0, 0, bad], dtype=np.uint8), height)
+    for height in (2, 5):
+        cells = led.field_from_rows([], [], height).cells
+        assert cells.shape == (height, 0) and cells.dtype == np.uint8
+    for width in (1, 2):
+        for r0, r1 in itertools.product(itertools.product((0, 1), repeat=width), repeat=2):
+            for height in (2, 3, 7):
+                f = led.field_from_rows(r0, r1, height)
+                assert_same_cells(f.cells, reference_cells(r0, r1, height))
