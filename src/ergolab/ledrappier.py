@@ -163,9 +163,10 @@ def trace_thread(
     """
     if direction not in _HEADINGS:
         raise ValueError(f"direction must be one of {sorted(_HEADINGS)}")
+    width, height, cells = field.width, field.height, field.cells
     x, y = start
-    x %= field.width
-    if not 0 <= y < field.height or field[x, y] != 1:
+    x %= width
+    if not 0 <= y < height or cells[y, x] != 1:
         raise ValueError("start cell must be white (value 1)")
     dx, dy = _HEADINGS[direction]
     # clockwise perpendicular: +1 steps to the right of the heading
@@ -176,11 +177,11 @@ def trace_thread(
     while True:
         step = None
         for sym in (0, 1, -1):
-            nx = (x + dx + sym * px) % field.width
+            nx = (x + dx + sym * px) % width
             ny = y + dy + sym * py
-            if not 0 <= ny < field.height:
+            if not 0 <= ny < height:
                 continue
-            if field.cells[ny, nx] == 1:
+            if cells[ny, nx] == 1:
                 step = (sym, nx, ny)
                 break
         if step is None:

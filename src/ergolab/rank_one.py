@@ -15,7 +15,8 @@ as S -> S + (S + h_j), and the transformation acts as index +1 within any
 stage tower. Correlations mu(T^n A intersect A) are exact level-pair counts
 at a deep enough stage: with D_j(d) the number of pairs of S at stage j that
 differ by d, S and S + h_j are disjoint and S lies in [0, h_j), so
-D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|).
+D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|). No count exceeds D(0) = |S|, and
+|S| <= span + 1, where the span is the largest difference in S.
 
 A series needs D only on [0, n_max]. Call a step far when h_j exceeds the
 span of the set grown so far by more than n_max: then S + h_j puts no
@@ -270,17 +271,20 @@ def correlation_series(
     pairs are counted directly instead. Growth stops at the first far step
     (see `_near_steps`): the later steps only double D on [0, n_max], and
     the doublings are folded into the denominator. Counts are at most the
-    square of the grown set's size, so int64 is exact for any array that
-    fits in memory; a set that would span 2^63 levels or more raises
-    ValueError, as does a negative n_max.
+    grown set's size, so int64 is exact for any array that fits in memory;
+    a set that would span 2^63 levels or more raises ValueError, as does a
+    negative n_max.
     The values are one tuple holding one shared Fraction per distinct
-    count, built without a Python call per time: one sort of the counts
-    gives the distinct ones, one Fraction is made for each, and a
-    searchsorted of the counts among them gathers those Fractions from an
-    object array into the tuple. The series' (n, value) pairs are made as
-    they are read. A stored pair per time left n_max+1 objects for the
-    cyclic garbage collector to track, and its repeated full passes over
-    them were the largest cost of a long series.
+    count, built without a Python call per time: an object table indexed
+    by count holds one Fraction at each count that occurs, and indexing it
+    with the counts gathers those Fractions into the tuple. Every count is
+    at most D(0) = |S| <= span + 1 for the grown set S, so the table is
+    never longer than an array the counting already held: the recursion's
+    differences over the span, or S itself when pairs are counted. The
+    series' (n, value) pairs are made as they are read. A stored pair per
+    time left n_max+1 objects for the cyclic garbage collector to track,
+    and its repeated full passes over them were the largest cost of a long
+    series.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -297,10 +301,12 @@ def correlation_series(
         counts[: len(d)] = d
     # the level width 2^(1-stage), times 2 for each far step left out of counts
     den = 2 ** (a.stage - 1 + len(steps))
-    ordered = np.sort(counts)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    shared = np.array([Fraction(c, den) for c in distinct.tolist()], dtype=object)
-    values = shared[np.searchsorted(distinct, counts)].tolist()
+    present = np.zeros(int(counts.max()) + 1, dtype=bool)
+    present[counts] = True
+    distinct = np.flatnonzero(present)
+    shared = np.empty(len(present), dtype=object)
+    shared[distinct] = [Fraction(c, den) for c in distinct.tolist()]
+    values = shared[counts].tolist()
     return CorrelationSeries(_Pairs(tuple(values)))
 
 

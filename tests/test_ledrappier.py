@@ -210,6 +210,54 @@ def test_trace_deterministic():
     assert a == b
 
 
+def reference_trace(field, start, direction):
+    """The step loop that reads the field's `width`, `height` and `cells`
+    per step, as `trace_thread` did before it read them once; its traces
+    are the reference."""
+    dx, dy = {"up": (0, 1), "down": (0, -1), "left": (-1, 0), "right": (1, 0)}[direction]
+    x, y = start
+    x %= field.width
+    assert 0 <= y < field.height and field[x, y] == 1
+    px, py = dy, -dx
+    symbols = []
+    path = [(x, y)]
+    seen = {(x, y)}
+    while True:
+        step = None
+        for sym in (0, 1, -1):
+            nx = (x + dx + sym * px) % field.width
+            ny = y + dy + sym * py
+            if not 0 <= ny < field.height:
+                continue
+            if field.cells[ny, nx] == 1:
+                step = (sym, nx, ny)
+                break
+        if step is None:
+            break
+        sym, x, y = step
+        if (x, y) in seen:
+            break
+        symbols.append(sym)
+        path.append((x, y))
+        seen.add((x, y))
+    return led.ThreadTrace((path[0][0], path[0][1]), direction, tuple(symbols), tuple(path))
+
+
+def test_traces_match_the_reference_from_every_white_cell():
+    traced = 0
+    for width, height, seed in ((16, 16, 4), (33, 20, 11)):
+        f = led.sample_field(width, height, seed)
+        ys, xs = np.nonzero(f.cells)
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            # a start left of the grid wraps to the same cell
+            for start in ((x, y), (x - width, y)):
+                for direction in ("up", "down", "left", "right"):
+                    got = led.trace_thread(f, start, direction)
+                    assert got == reference_trace(f, start, direction), (start, direction)
+                    traced += got.length > 0
+    assert traced > 1000
+
+
 def test_statistics_zero_field():
     f = led.field_from_rows([0] * 6, [0] * 6, 5)
     stats = led.thread_statistics(f, 16, 3)

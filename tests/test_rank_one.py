@@ -288,6 +288,11 @@ def test_series_matches_the_unique_and_product_reference(monkeypatch):
         # small next to its span, so its pairs are counted directly
         ("pairs", r1.RankOneSpec(10**6 + 1, (0, 0)),
          r1.LevelSet(1, frozenset([0, 10**6])), 10),
+        # 2^15 levels at the working stage: the table of counts is far
+        # longer than the series
+        ("long table", r1.RankOneSpec(1, (0,) * 14), r1.LevelSet(1, frozenset([0])), 3),
+        # counts 0-4 and 8, none of 5-7: the unused slots are never read
+        ("holes", r1.RankOneSpec(100, ()), r1.LevelSet(1, frozenset([0, 10, 30, 60])), 70),
     ]
     rng = random.Random(1904)
     for _ in range(40):
@@ -309,12 +314,41 @@ def test_series_matches_the_unique_and_product_reference(monkeypatch):
         assert len({id(v) for v in values}) == len(set(values)), name
         if name == "one count":
             assert values == [Fraction(1)]
+        width = r1.level_width(r1.min_exact_stage(spec, a, n_max))
+        used = {v / width for v in values}
+        if name == "long table":
+            assert max(used) == 2**15 and len(values) == 4
+        if name == "holes":
+            assert used == {0, 1, 2, 3, 4, 8}
         if a.levels:
             steps = r1.heights(spec, r1.min_exact_stage(spec, a, n_max))[a.stage - 1 : -1]
             span = max(a.levels) - min(a.levels)
             if len(r1._near_steps(steps, span, n_max)) < len(steps):
                 covered.add("far step")
     assert covered == {"pairs", "recursion", "far step"}
+
+
+def test_pair_path_series_matches_pointwise_queries(monkeypatch):
+    # two levels far apart and k zero spacers: the grown set is small next
+    # to its span, so the series counts its pairs directly
+    pair_sizes = []
+    real = r1._pair_differences
+    monkeypatch.setattr(
+        r1, "_pair_differences",
+        lambda s, length: pair_sizes.append(len(s)) or real(s, length),
+    )
+    a = r1.LevelSet(1, frozenset([0, 10**6]))
+    for k in range(3, 11):
+        spec = r1.RankOneSpec(10**6 + 1, (0,) * k)
+        pair_sizes.clear()
+        series = r1.correlation_series(spec, a, 10)
+        # both levels, doubled by the k explicit steps and one tail step
+        assert pair_sizes == [4 << k], k
+        stage = r1.min_exact_stage(spec, a, 10)
+        assert [v for _, v in series.entries] == [
+            r1.correlation(spec, a, n, stage) for n in range(11)
+        ], k
+        assert series.value(1) == 1 - Fraction(1, 2 ** (k + 1))
 
 
 def min_exact_stage_reference(spec, a, n_max):
