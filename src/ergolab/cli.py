@@ -204,8 +204,8 @@ def _cmd_tower(args) -> tuple:
     payload = {
         "n": args.n,
         "height": tower.height,
-        "base": tower.base.indices().tolist(),
-        "residual": tower.residual.indices().tolist(),
+        "base": tower.base.atoms.tolist(),
+        "residual": tower.residual.atoms.tolist(),
         "residual_measure": _frac(tower.residual.measure),
         "valid": core.validate_tower(sys_, tower),
     }

@@ -133,10 +133,6 @@ class AtomSet:
     def __len__(self) -> int:
         return self.atoms.size
 
-    def indices(self) -> np.ndarray:
-        """The atoms as their sorted, read-only int64 array (no copy)."""
-        return self.atoms
-
     def mask(self) -> np.ndarray:
         """Boolean membership array over the n atoms."""
         m = np.zeros(self.n, dtype=bool)
@@ -156,11 +152,11 @@ class Tower:
 def validate_tower(sys: FinitePermutationSystem, tower: Tower) -> bool:
     """Levels and residual are pairwise disjoint and cover all atoms."""
     cover = np.zeros(sys.n, dtype=np.int64)
-    level = tower.base.indices()
+    level = tower.base.atoms
     for _ in range(tower.height):
         cover[level] += 1  # a level is a set, so its indices are distinct
         level = sys.map[level]
-    cover[tower.residual.indices()] += 1
+    cover[tower.residual.atoms] += 1
     return bool((cover == 1).all())
 
 
@@ -238,7 +234,7 @@ def lehrer_weiss_tower(sys: FinitePermutationSystem, h: int, y: AtomSet) -> Towe
         raise ValueError("target set y must be non-empty")
     if y.n != n:
         raise ValueError("y belongs to a different system")
-    y_pos = np.sort(perms.inverse(order)[y.indices()]).tolist()
+    y_pos = np.sort(perms.inverse(order)[y.atoms]).tolist()
     roof = _arc_residual_search(y_pos, n, h)
     if roof is None:
         raise Infeasible(

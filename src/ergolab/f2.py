@@ -111,7 +111,11 @@ def cylinder(constraints: dict[str, int]) -> CylinderPatternSet:
 
 
 def local_peak(radius: int) -> CylinderPatternSet:
-    """Value 1 at the identity, 0 on the rest of the radius-L ball."""
+    """Value 1 at the identity, 0 on the rest of the radius-L ball; CapExceeded
+    before building a ball (2*3^L - 1 words) past WINDOW_CAP, as no pair of
+    its translates would fit one merged window."""
+    if 2 * 3 ** min(radius, WINDOW_CAP) - 1 > WINDOW_CAP:  # never a huge 3^L
+        raise CapExceeded(f"the radius-{radius} ball exceeds the window cap {WINDOW_CAP}")
     window = ball(radius)
     mask = 1 << window.index("")
     return CylinderPatternSet(window, frozenset([mask]))

@@ -29,12 +29,13 @@ through the layout, the five stages give:
   s3 = r2        (k, 0) fixed;  (k, 1) <-> (-k, h-1);
                  (k, l) <-> (k, h-l) for 2 <= l <= h-2;  run index i -> -i mod L
 
-`factor_three_involutions` builds the triple from this table: s2 and s3
-each take one grid of the column atoms re-indexed by slices and one
-scatter, and s1 scatters only the atoms it moves. The stagewise pipeline
-allocates s, d1, d2, S, P, P's cycle listing and the reflections' index
-arrays instead, about two dozen n-sized temporaries. The test suite keeps the stagewise pipeline as the reference
-and checks the two byte for byte.
+`factor_three_involutions` builds s1 and s2 from this table: s2 takes one
+grid of the column atoms re-indexed by slices and one scatter, and s1
+scatters only the atoms it moves. As s1 and s2 are involutions, s1 s2 s3 = T
+fixes s3 = s2 s1 T, which is its row above. The stagewise pipeline allocates
+s, d1, d2, S, P, P's cycle listing and the reflections' index arrays
+instead, about two dozen n-sized temporaries. The test suite keeps the
+stagewise pipeline as the reference and checks the two byte for byte.
 
 Composition convention everywhere: (f * g)(x) = f(g(x)), applied right to
 left, so a triple (s1, s2, s3) represents x -> s1(s2(s3(x))).
@@ -136,16 +137,8 @@ def factor_three_involutions(
     s2 = np.empty(n, dtype=np.int64)
     s2[a] = b
 
-    # s3 = r2: bases fixed, level 1 of k <-> level h-1 of -k, level l <-> level h-l
-    b[:, 0] = a[:, 0]
-    b[:, 1] = a[flip, h - 1]
-    b[:, 2:h - 1] = a[:, h - 2:1:-1]
-    b[:, h - 1] = a[flip, 1]
-    s3 = np.empty(n, dtype=np.int64)
-    s3[a] = b
-
-    # residual runs: index i of a run of length L goes to 1-i (s2) and -i (s3)
-    # mod L; s1 swaps the head of run k with the base of column k+1
+    # residual runs: index i of a run of length L goes to 1-i mod L under s2;
+    # s1 swaps the head of run k with the base of column k+1
     next_base = np.roll(a[:, 0], -1)
     for block, bases in zip(blocks, np.split(next_base, [extra])):
         run = block[:, h:]
@@ -155,5 +148,4 @@ def factor_three_involutions(
             s1[bases] = heads
             i = np.arange(run.shape[1])
             s2[run] = run[:, (1 - i) % i.size]
-            s3[run] = run[:, -i % i.size]
-    return InvolutionTriple(s1, s2, s3)
+    return InvolutionTriple(s1, s2, s2[s1[sys.map]])  # s3 = s2 s1 T

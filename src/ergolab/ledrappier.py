@@ -120,8 +120,10 @@ def power_identity_check(field: HarmonicField, k: int) -> bool:
 
     Squaring the neighbourhood stencil over GF(2) kills all cross terms, so
     a harmonic field satisfies the same relation at horizontal and vertical
-    distance 2^k for every k the grid can accommodate.
+    distance 2^k for every k >= 0 the grid can accommodate.
     """
+    if k < 0:
+        raise ValueError(f"exponent k = {k} must be non-negative")
     d = 2 ** k
     if 2 * d >= field.width or 2 * d >= field.height:
         raise ValueError(f"distance 2^{k} = {d} too large for the grid")

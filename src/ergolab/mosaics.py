@@ -84,14 +84,18 @@ def validate_mosaic(mosaic: Mosaic) -> bool:
     return True
 
 
-def generate_mosaic(width: int, height: int, k: int, adjacency: int = 8) -> Mosaic:
-    """The board's only mosaic, tile ids in scanline order; raises Infeasible."""
+def _check_board(width: int, height: int, k: int, adjacency: int) -> None:
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     if width < 1 or height < 1:
         raise ValueError("board must be non-empty")
     if adjacency not in (4, 8):
         raise ValueError("adjacency must be 4 or 8")
+
+
+def generate_mosaic(width: int, height: int, k: int, adjacency: int = 8) -> Mosaic:
+    """The board's only mosaic, tile ids in scanline order; raises Infeasible."""
+    _check_board(width, height, k, adjacency)
     if width == height == 1:
         return Mosaic(1, 1, k, ((BLUE,),), adjacency)
     if width % k or height % k:
@@ -144,10 +148,7 @@ def _row_transitions(state, w, k, adjacency):
 
 def count_mosaics(width: int, height: int, k: int, adjacency: int = 8) -> int:
     """Exact tiling count via the interface-profile transfer map."""
-    if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
-    if width < 1 or height < 1:
-        raise ValueError("board must be non-empty")
+    _check_board(width, height, k, adjacency)
     if width > WIDTH_CAP:
         raise CapExceeded(f"width {width} exceeds transfer cap {WIDTH_CAP}")
     start = ((0,) * width, (0,) * width)

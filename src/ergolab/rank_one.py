@@ -45,6 +45,8 @@ import numpy as np
 
 from .errors import DesignError
 
+SCAN_CAP = 1_000_000  # gaps of M that gap_intervals reads before giving up
+
 
 class Unstable:
     """Sentinel: the requested value is not certified at this working stage."""
@@ -141,9 +143,9 @@ def _top_level(hs: list[int], a: LevelSet) -> int:
 
 def _pair_count(hs: list[int], a: LevelSet, n: int) -> int:
     """D(n) at the working stage len(hs): the pairs of A's levels there that
-    differ by n > 0. D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|) is pulled back to
-    A's own stage as weights on differences, dropping each d >= h_j, for
-    which D_j(d) = 0."""
+    differ by n >= 0, so D(0) counts those levels. D_{j+1}(d) = 2*D_j(d) +
+    D_j(|d - h_j|) is pulled back to A's own stage as weights on
+    differences, dropping each d >= h_j, for which D_j(d) = 0."""
     weights = {n: 1}
     for h in reversed(hs[a.stage - 1 : -1]):
         pulled: dict[int, int] = {}
@@ -172,10 +174,8 @@ def correlation(
         raise ValueError("time must be non-negative")
     hs = heights(spec, stage)
     h_top = hs[-1]
-    if n >= h_top and n > 0:
+    if n >= h_top:
         raise ValueError(f"time {n} leaves the stage-{stage} tower (h={h_top})")
-    if n == 0:
-        return a.measure()
     if _top_level(hs, a) + n >= h_top:
         return UNSTABLE
     return _pair_count(hs, a, n) * level_width(stage)
@@ -481,14 +481,12 @@ def design_spacers(
     )
 
 
-def gap_intervals(
-    m_times: Iterable[int], count: int, max_scan: int = 1_000_000
-) -> list[tuple[int, int]]:
+def gap_intervals(m_times: Iterable[int], count: int) -> list[tuple[int, int]]:
     """Disjoint intervals of strictly growing length inside the gaps of M.
 
     Each interval is the centered half of a gap between consecutive elements
     of M, taken only when long enough to keep lengths strictly increasing.
-    Raises DesignError when M is exhausted (or the scan budget is) first.
+    Raises DesignError when M is exhausted first, or after SCAN_CAP gaps.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -502,10 +500,8 @@ def gap_intervals(
     scanned = 0
     for cur in it:
         scanned += 1
-        if scanned > max_scan:
-            raise DesignError(
-                f"no {count} usable gaps within scan budget {max_scan}"
-            )
+        if scanned > SCAN_CAP:
+            raise DesignError(f"no {count} usable gaps within scan budget {SCAN_CAP}")
         if cur <= prev:
             raise ValueError("M must be strictly increasing")
         gap = cur - prev - 1

@@ -30,7 +30,7 @@ def brute_force_roof_subsets(n, h, y_pos):
 
 def members(s):
     """The atoms of an AtomSet as a frozenset of Python ints."""
-    return frozenset(s.indices().tolist())
+    return frozenset(s.atoms.tolist())
 
 
 def walk_from_atom_0(p):
@@ -46,15 +46,15 @@ def walk_from_atom_0(p):
 def test_rokhlin_examples():
     sys_ = FinitePermutationSystem.cycle(12)
     t = core.rokhlin_tower(sys_, 11)
-    assert t.base.indices().tolist() == [0]
-    assert t.residual.indices().tolist() == [11]
+    assert t.base.atoms.tolist() == [0]
+    assert t.residual.atoms.tolist() == [11]
     assert sys_.map[11] in t.base  # roof returns to the base
     assert core.validate_tower(sys_, t)
 
     sys_ = FinitePermutationSystem.cycle(10)
     t = core.rokhlin_tower(sys_, 3)
-    assert t.base.indices().tolist() == [0, 3, 6]
-    assert t.residual.indices().tolist() == [9]
+    assert t.base.atoms.tolist() == [0, 3, 6]
+    assert t.residual.atoms.tolist() == [9]
     assert t.residual.measure == Fraction(1, 10)
     assert core.validate_tower(sys_, t)
 
@@ -86,12 +86,12 @@ def test_rokhlin_residual_bound_all_small():
 def test_lehrer_weiss_examples():
     sys_ = FinitePermutationSystem.cycle(7)
     t = core.lehrer_weiss_tower(sys_, 3, sys_.subset([0]))
-    assert t.residual.indices().tolist() == [0]
+    assert t.residual.atoms.tolist() == [0]
     assert core.validate_tower(sys_, t)
 
     sys_ = FinitePermutationSystem.cycle(8)
     t = core.lehrer_weiss_tower(sys_, 3, sys_.subset([0, 4]))
-    assert t.residual.indices().tolist() == [0, 4]
+    assert t.residual.atoms.tolist() == [0, 4]
     assert core.validate_tower(sys_, t)
 
     with pytest.raises(Infeasible):
@@ -177,7 +177,7 @@ def test_tower_disjoint_cover_property(n, seed, data):
     sys_ = FinitePermutationSystem.random_cycle(n, seed)
     h = data.draw(st.integers(1, n))
     t = core.rokhlin_tower(sys_, h)
-    level, seen = t.base.indices(), set()
+    level, seen = t.base.atoms, set()
     for _ in range(t.height):  # level k is T^k base, stepped along the map
         lv = set(level.tolist())
         assert not (seen & lv)
@@ -203,9 +203,9 @@ def test_atom_set_measure_is_computed():
         given, given.astype(np.uint8), np.array([11, 9, 4, 0], dtype=np.int32),
     ):
         s = core.AtomSet(atoms, 12)
-        got = s.indices()
+        got = s.atoms
         assert got.dtype == np.int64 and not got.flags.writeable
-        assert got.tolist() == [0, 4, 9, 11] and got is s.indices()  # no copy
+        assert got.tolist() == [0, 4, 9, 11]
         assert len(s) == 4 and s.measure == Fraction(1, 3)
         assert s.mask().tolist() == [a in (0, 4, 9, 11) for a in range(12)]
         assert [a for a in range(-3, 15) if a in s] == [0, 4, 9, 11]
@@ -213,7 +213,7 @@ def test_atom_set_measure_is_computed():
     assert given.flags.writeable and given.tolist() == [9, 4, 0, 4, 11, 9]
     for empty in ([], frozenset(), np.array([], dtype=np.int64), iter(())):
         e = core.AtomSet(empty, 12)
-        assert len(e) == 0 and e.measure == 0 and e.indices().dtype == np.int64
+        assert len(e) == 0 and e.measure == 0 and e.atoms.dtype == np.int64
         assert 0 not in e and not e.mask().any()
     # out of int64 range (numpy would make object or float arrays of these),
     # or not integers at all
@@ -266,7 +266,7 @@ def _tower_sets(build, *args):
         t = build(*args)
     except Infeasible:
         return None
-    return t.base.indices().tolist(), t.residual.indices().tolist()
+    return t.base.atoms.tolist(), t.residual.atoms.tolist()
 
 
 def test_caller_map_matches_the_constructor_it_copies():

@@ -217,6 +217,23 @@ def test_search_radius_cap():
         f2.search_best(0, 10, seed=0)
 
 
+def test_local_peak_refuses_a_ball_past_the_window_cap(monkeypatch):
+    # the radius-3 ball (53 words) is built and fails in `disjoint`; from
+    # radius 4 (161 words) the ball is refused before it is built
+    with pytest.raises(CapExceeded, match="merged window"):
+        f2.verify_rokhlin_family(f2.local_peak(3))
+    real_ball = f2.ball
+
+    def small_ball(radius):
+        assert radius < 4, "ball built past the window cap"
+        return real_ball(radius)
+
+    monkeypatch.setattr(f2, "ball", small_ball)
+    for radius in (4, 40, 10**9):
+        with pytest.raises(CapExceeded, match="window cap"):
+            f2.local_peak(radius)
+
+
 def test_certificate_json_reports_gap(tmp_path):
     out = tmp_path / "cert.json"
     assert cli.main(["f2", "search", "--radius", "2", "--budget", "200", "--seed", "3",

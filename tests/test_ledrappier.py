@@ -135,6 +135,8 @@ def test_power_identity_on_sampled_fields():
         assert led.power_identity_check(f, k)
     with pytest.raises(ValueError):
         led.power_identity_check(f, 5)
+    with pytest.raises(ValueError, match="non-negative"):
+        led.power_identity_check(f, -1)
 
 
 def test_power_identity_detects_corruption():

@@ -221,3 +221,14 @@ def test_generate_agrees_with_transfer_count_every_board():
                         assert count == 1, (w, h, k, adjacency)
                         assert m.adjacency == adjacency
                         assert mo.validate_mosaic(m), (w, h, k, adjacency)
+
+
+def test_every_board_entry_rejects_an_adjacency_other_than_4_or_8():
+    for adjacency in (5, 7):
+        for call in (
+            lambda: mo.count_mosaics(2, 2, 2, adjacency),
+            lambda: mo.entropy_profile([(2, 2), (4, 4)], 2, adjacency),
+            lambda: mo.generate_mosaic(2, 2, 2, adjacency),
+        ):
+            with pytest.raises(ValueError, match="adjacency must be 4 or 8"):
+                call()

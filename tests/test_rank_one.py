@@ -77,6 +77,10 @@ def test_correlation_zero_time_is_measure():
     spec = geometric_spec(4)
     a = r1.LevelSet(2, frozenset([0, 2]))
     assert r1.correlation(spec, a, 0, 4) == a.measure() == Fraction(2, 2)
+    # D(0) counts A's levels at every working stage
+    for a in (r1.LevelSet(1, frozenset()), r1.LevelSet(3, frozenset([2, 5, 6]))):
+        for stage in range(a.stage, 7):
+            assert r1.correlation(spec, a, 0, stage) == a.measure(), (a, stage)
 
 
 def test_halving_at_stage_heights():
@@ -542,13 +546,18 @@ def test_every_returned_correlation_is_the_certified_value():
 
 
 def test_levels_outside_their_stage_tower_raise():
+    # time 0 takes the same checks as the other times
     spec = geometric_spec(3)
     for levels, message in (([0, -1], "negative level index"), ([3], "outside its stage tower")):
         a = r1.LevelSet(2, frozenset(levels))
-        with pytest.raises(ValueError, match=message):
-            r1.correlation(spec, a, 1, 3)
+        for n in (0, 1):
+            with pytest.raises(ValueError, match=message):
+                r1.correlation(spec, a, n, 3)
         with pytest.raises(ValueError, match=message):
             r1.correlation_series(spec, a, 2)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="working stage is shallower"):
+            r1.correlation(spec, r1.LevelSet(4, frozenset([0])), n, 3)
 
 
 def test_correlation_unstable_without_spacers():
@@ -712,6 +721,14 @@ def test_gap_intervals_errors():
         r1.gap_intervals(iter([]), 1)
     with pytest.raises(ValueError):
         r1.gap_intervals(iter([3, 3, 4]), 1)
+
+
+def test_gap_intervals_stop_after_the_scan_cap(monkeypatch):
+    squares = [k * k for k in range(1, 100)]
+    assert len(r1.gap_intervals(iter(squares), 4)) == 4
+    monkeypatch.setattr(r1, "SCAN_CAP", 2)
+    with pytest.raises(DesignError, match="scan budget 2"):
+        r1.gap_intervals(iter(squares), 4)
 
 
 def test_design_from_gap_intervals_avoids_sequence():

@@ -143,7 +143,7 @@ def test_shift_invariance_of_triple_terms():
         i = seed % 7
         before = rec.triple_intersection(sys_, a, a1, a2, i)
         after = rec.triple_intersection(
-            sys_, *(sys_.subset(sys_.map[s.indices()]) for s in (a, a1, a2)), i
+            sys_, *(sys_.subset(sys_.map[s.atoms]) for s in (a, a1, a2)), i
         )
         assert before == after
 
@@ -274,7 +274,7 @@ def _gather_count(sys_, a, a1, a2, i):
         if i & 1:
             back = step[back]
         step, i = step[step], i >> 1
-    y = back[a.indices()]
+    y = back[a.atoms]
     return int(np.count_nonzero(a1.mask()[y] & a2.mask()[back[y]]))
 
 
@@ -284,7 +284,7 @@ def _gather_total(sys_, a, a1, a2, n_horizon):
     inv = np.empty(sys_.n, dtype=np.int64)
     inv[sys_.map] = np.arange(sys_.n)
     in1, in2 = a1.mask(), a2.mask()
-    y = z = a.indices()
+    y = z = a.atoms
     total = 0
     for _ in range(n_horizon):
         y, z = inv[y], inv[inv[z]]
