@@ -16,7 +16,9 @@ stage tower. Correlations mu(T^n A intersect A) are exact level-pair counts
 at a deep enough stage: with D_j(d) the number of pairs of S at stage j that
 differ by d, S and S + h_j are disjoint and S lies in [0, h_j), so
 D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|). No count exceeds D(0) = |S|, and
-|S| <= span + 1, where the span is the largest difference in S.
+|S| <= span + 1, where the span is the largest difference in S. No two
+levels of S lie farther apart than the span, so D(n) = 0 for every n past
+it.
 
 A series needs D only on [0, n_max]. Call a step far when h_j exceeds the
 span of the set grown so far by more than n_max: then S + h_j puts no
@@ -24,7 +26,8 @@ difference <= n_max against S, and D_{j+1} = 2*D_j there. The gap h_j - span
 grows by s_j from each step to the next, so every step after a far one is
 far too. A series stops growing the set at the first far step and folds the
 remaining doublings into the level width, so step heights past 2^63 never
-reach an int64 array.
+reach an int64 array. It stores values only through min(span, n_max) for
+the grown set's span; every later time reads one shared zero.
 
 A query has one certificate: no level of A lies within n of the working
 tower's top, so every orbit segment of length n stays inside it. Values
@@ -40,6 +43,7 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -207,45 +211,56 @@ def min_exact_stage(spec: RankOneSpec, a: LevelSet, n_max: int) -> int:
 
 
 class _Pairs(Sequence):
-    """Read-only (n, value) pairs over one tuple of values, value n at
-    index n. A pair is made only when it is read, and iteration is
-    `enumerate(values)`, so a loop that unpacks each pair reuses one tuple.
-    Equal to any sequence of the same pairs, and hashed as their tuple."""
+    """Read-only (n, value) pairs for n < length: value n is values[n] for
+    n < len(values) and the one shared `zero` past them, so a series stores
+    nothing for the times past its grown set's span, where D(n) = 0. A pair
+    is made only when it is read, and iteration enumerates the values and
+    then repeats `zero`, so a loop that unpacks each pair reuses one tuple.
+    A slice is the tuple of its pairs. Equal to any sequence of the same
+    pairs, compared pair by pair since two equal series may store different
+    prefixes (a set whose span reaches past the horizon stores its trailing
+    zeros), and hashed as their tuple."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "length", "zero")
 
-    def __init__(self, values: tuple[Fraction, ...]):
+    def __init__(self, values: tuple[Fraction, ...], length: int, zero: Fraction):
         self.values = values
+        self.length = length
+        self.zero = zero
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.length
 
-    def __getitem__(self, n: int) -> tuple[int, Fraction]:
-        n = range(len(self.values))[n]  # a negative n counts from the end
-        return n, self.values[n]
+    def __getitem__(self, n: int | slice):
+        if isinstance(n, slice):
+            return tuple(map(self.__getitem__, range(self.length)[n]))
+        n = range(self.length)[n]  # a negative n counts from the end
+        return n, self.values[n] if n < len(self.values) else self.zero
 
     def __iter__(self) -> Iterator[tuple[int, Fraction]]:
-        return enumerate(self.values)
+        tail = repeat(self.zero, self.length - len(self.values))
+        return enumerate(chain(self.values, tail))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _Pairs):
-            return self.values == other.values
         if not isinstance(other, Sequence):
             return NotImplemented
-        return len(other) == len(self.values) and all(map(operator.eq, self, other))
+        return len(other) == self.length and all(map(operator.eq, self, other))
 
     def __hash__(self) -> int:
         return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return f"_Pairs({self.values!r})"
+        return f"_Pairs({self.values!r}, {self.length!r}, {self.zero!r})"
 
 
 @dataclass(frozen=True)
 class CorrelationSeries:
     """Exact correlation values mu(T^n A intersect A) for n = 0..n_max, read
-    as (n, value) pairs. `correlation_series` stores them as one tuple of
-    values behind a pair view; a tuple of pairs works the same."""
+    as (n, value) pairs. `correlation_series` stores one tuple of values
+    through min(span, n_max) for the span of the set grown from A, since
+    D(n) = 0 past that span, behind a pair view that reads one shared zero
+    for every later time; a tuple of pairs works the same, slices
+    included."""
 
     entries: Sequence[tuple[int, Fraction]]
 
@@ -274,12 +289,16 @@ def correlation_series(
     grown set's size, so int64 is exact for any array that fits in memory;
     a set that would span 2^63 levels or more raises ValueError, as does a
     negative n_max.
+    No two levels of the grown set S differ by more than its span, so
+    D(n) = 0 for every n past it: the counts, and the stored values, run
+    only through min(span, n_max), and every later time reads one shared
+    zero. The work is in proportion to that length, not to n_max.
     The values are one tuple holding one shared Fraction per distinct
     count, built without a Python call per time: an object table indexed
-    by count holds one Fraction at each count that occurs, and indexing it
-    with the counts gathers those Fractions into the tuple. Every count is
-    at most D(0) = |S| <= span + 1 for the grown set S, so the table is
-    never longer than an array the counting already held: the recursion's
+    by count holds one Fraction at each count that occurs and at 0, and
+    indexing it with the counts gathers those Fractions into the tuple.
+    Every count is at most D(0) = |S| <= span + 1, so the table is never
+    longer than an array the counting already held: the recursion's
     differences over the span, or S itself when pairs are counted. The
     series' (n, value) pairs are made as they are read. A stored pair per
     time left n_max+1 objects for the cyclic garbage collector to track,
@@ -290,24 +309,24 @@ def correlation_series(
         raise ValueError("n_max must be non-negative")
     stage = min_exact_stage(spec, a, n_max)
     steps = heights(spec, stage)[a.stage - 1 : -1]
-    counts = np.zeros(n_max + 1, dtype=np.int64)
+    counts = np.zeros(0, dtype=np.int64)
     if a.levels:
         low = min(a.levels)
         offsets = sorted(l - low for l in a.levels)
         steps = _near_steps(steps, offsets[-1], n_max)
-        d = _grown_differences(np.array(offsets, dtype=np.int64), steps, n_max)[
+        counts = _grown_differences(np.array(offsets, dtype=np.int64), steps, n_max)[
             : n_max + 1
         ]
-        counts[: len(d)] = d
     # the level width 2^(1-stage), times 2 for each far step left out of counts
     den = 2 ** (a.stage - 1 + len(steps))
-    present = np.zeros(int(counts.max()) + 1, dtype=bool)
+    present = np.zeros(int(counts.max(initial=0)) + 1, dtype=bool)
     present[counts] = True
+    present[0] = True  # the times past the span read the zero
     distinct = np.flatnonzero(present)
     shared = np.empty(len(present), dtype=object)
     shared[distinct] = [Fraction(c, den) for c in distinct.tolist()]
-    values = shared[counts].tolist()
-    return CorrelationSeries(_Pairs(tuple(values)))
+    values = tuple(shared[counts].tolist())
+    return CorrelationSeries(_Pairs(values, n_max + 1, shared[0]))
 
 
 def _near_steps(steps: Sequence[int], span: int, n_max: int) -> Sequence[int]:

@@ -34,6 +34,8 @@ PINNED = [
     ("rankone correlate --intervals 100:200 --A level:5 --n-max 1000", 0, "b25a05c1d09347b8f9f977c28b1ca31f1718e9bb2dbde1c5a270b65bef973092"),
     ("rankone correlate --h1 2 --spacers 3,1,3,5,3 --A 1:1 --n-max 40", 0, "627ba81735c9c8c83617fe0fdba5d902c1bfcf8b6716236c62c8f62b136de694"),
     ("rankone correlate --h1 1 --spacers 1,1 --A 9:0 --n-max 100", 0, "ff420b41e5ff8cbb3a993f60fe353a657981b613d2edea4662e0badc803af3a0"),
+    ("rankone correlate --h1 1 --spacers auto --intervals 100:200,1000:2000,10000:20000 --A 2:0,7,100 --n-max 100000", 0, "f22a2aee0bca1f1e77602221497c66224af524b52cccb489af5134afb1ecfcb6"),
+    ("rankone correlate --h1 1 --spacers auto --intervals 100:200,1000:2000,10000:20000,100000:200000,1000000:2000000 --A 2:0,7,100 --n-max 100000", 0, "9f0866861427d76d3135685b7ccfe6841f9f15243af77b36aedd7680f9689141"),
     ("rankone correlate --h1 1 --spacers 1,1 --A level:999 --n-max 5", 1, None),
     ("rankone decompose --intervals 100:200,1000:1300 --times=-3,150,2400,7", 0, "f6588a969bc27af1763cde1a715430927ddd11bde9d2f18421a4d16cb33ca50b"),
     ("rankone decompose --spacers 1,1,3 --times 9,40 --mu-num 1 --mu-den 2 --remainder-cap 2", 0, "26564b725c648a19a71b91a80e531ac677b44f858de082db74ad0a2c68da0f8b"),

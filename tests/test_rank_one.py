@@ -1,7 +1,8 @@
 import gc
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ import pytest
 from ergolab import cli
 from ergolab import rank_one as r1
 from ergolab.errors import DesignError
+
+
+# intervals [10^j, 2*10^j], j = 2..6: the decades construction
+DECADES = [(10**j, 2 * 10**j) for j in range(2, 7)]
 
 
 def geometric_spec(stages, h1=1):
@@ -50,9 +55,9 @@ def test_heights_examples():
     assert r1.heights(r1.RankOneSpec(1, (3,)), 2) == [1, 5]
     spec = r1.RankOneSpec(1, (0,) * 11)
     assert r1.heights(spec, 12) == [2**j for j in range(12)]
-    design = r1.design_spacers([(10**j, 2 * 10**j) for j in range(2, 7)], 1)
+    design = r1.design_spacers(DECADES, 1)
     hs = r1.heights(design.spec, design.spec.max_stage)
-    for h, (lo, hi) in zip(hs[1:], [(10**j, 2 * 10**j) for j in range(2, 7)]):
+    for h, (lo, hi) in zip(hs[1:], DECADES):
         assert lo <= h <= hi
 
 
@@ -221,7 +226,7 @@ def test_series_with_levels_far_apart_in_a_tall_tower():
 def _decades_series(n_max):
     """The series of acceptance test_04: one stage-1 level, stages designed
     into the decades [10^j, 2*10^j], j = 2..6."""
-    spec = r1.design_spacers([(10**j, 2 * 10**j) for j in range(2, 7)], 1).spec
+    spec = r1.design_spacers(DECADES, 1).spec
     return r1.correlation_series(spec, r1.LevelSet(1, frozenset([0])), n_max)
 
 
@@ -237,11 +242,11 @@ def test_long_series_holds_no_object_per_time():
     assert grown <= 1000, grown
 
 
-def reference_series(spec, a, n_max):
-    """The series by another route: counts grown from A's own levels over
-    every step to the working stage, far ones included, np.unique for the
-    distinct counts, one product with the level width per distinct count
-    and a Python call per time to pick each shared value."""
+def reference_values(spec, a, n_max):
+    """The series' values by another route: counts grown from A's own
+    levels over every step to the working stage, far ones included,
+    np.unique for the distinct counts, one product with the level width per
+    distinct count and a Python call per time to pick each shared value."""
     stage = r1.min_exact_stage(spec, a, n_max)
     counts = np.zeros(n_max + 1, dtype=np.int64)
     if a.levels:
@@ -254,8 +259,11 @@ def reference_series(spec, a, n_max):
     distinct = np.unique(counts)
     w = r1.level_width(stage)
     shared = [c * w for c in distinct.tolist()]
-    values = map(shared.__getitem__, np.searchsorted(distinct, counts).tolist())
-    return r1.CorrelationSeries(tuple(enumerate(values)))
+    return list(map(shared.__getitem__, np.searchsorted(distinct, counts).tolist()))
+
+
+def reference_series(spec, a, n_max):
+    return r1.CorrelationSeries(tuple(enumerate(reference_values(spec, a, n_max))))
 
 
 def benchmark_series_cases():
@@ -264,7 +272,7 @@ def benchmark_series_cases():
     horizon the benchmark asks of it."""
     rng = random.Random(19)
     squares = r1.design_spacers(r1.gap_intervals((k * k for k in range(1, 400)), 9), 1)
-    decades = r1.design_spacers([(10**j, 2 * 10**j) for j in range(2, 7)], 1)
+    decades = r1.design_spacers(DECADES, 1)
     shapes = (
         ("squares", squares.spec, 3, 12, 10**4),
         ("decades", decades.spec, 3, 384, 10**5),
@@ -454,6 +462,110 @@ def test_series_pairs_read_as_a_tuple_of_pairs():
     assert r1.CorrelationSeries(tuple(changed)) != series
 
 
+def _three_level_series(n_max):
+    """Levels 0, 7 and 100 of stage 2 of the decades construction: the set
+    grown for n_max = 10^6 spans 166,750 levels."""
+    spec = r1.design_spacers(DECADES, 1).spec
+    return r1.correlation_series(spec, r1.LevelSet(2, frozenset([0, 7, 100])), n_max)
+
+
+def test_series_tail_past_the_span_matches_the_reference():
+    decades = next(c for c in benchmark_series_cases() if c[0] == "decades")
+    spec = r1.design_spacers(DECADES, 1).spec
+    cases = [
+        decades,
+        ("three levels", spec, r1.LevelSet(2, frozenset([0, 7, 100])), 10**6),
+        ("empty A", spec, r1.LevelSet(3, frozenset()), 1000),
+    ]
+    for name, spec, a, n_max in cases:
+        entries = r1.correlation_series(spec, a, n_max).entries
+        stored = len(entries.values)
+        assert len(entries) == n_max + 1, name
+        # most of the horizon lies past the grown set's span
+        assert stored <= n_max // 5, name
+        expected = reference_values(spec, a, n_max)
+        assert all(
+            p == (n, v) and type(p[1]) is Fraction
+            for p, n, v in zip(entries, range(n_max + 1), expected, strict=True)
+        ), name
+        zero = entries.zero
+        assert zero == 0 and type(zero) is Fraction, name
+        # every tail entry is the one shared zero, also read by index
+        assert all(v is zero for _, v in islice(entries, stored, None)), name
+        assert all(entries[n][1] is zero for n in (stored, (stored + n_max) // 2, n_max)), name
+        # and it is the object a stored zero count maps to
+        assert all(v is zero for v in entries.values if v == 0), name
+
+
+def test_series_cost_follows_the_span_not_the_horizon():
+    n_max = 10**6
+    _three_level_series(10)  # lazy set-up inside numpy is not the series' own
+    tracemalloc.start()
+    try:
+        series = _three_level_series(n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a value per time holds 8 MB of references alone, and an int64 count
+    # per time 8 MB more
+    assert peak < 8 * 2**20, peak
+    assert len(series.entries) == n_max + 1
+    assert len(series.entries.values) == 166_751
+
+
+def test_equal_series_may_store_different_prefixes():
+    # levels 0 and 50 in a tower of height 51 span past n_max = 10, so the
+    # series stores its trailing zeros
+    a = r1.LevelSet(1, frozenset([0, 50]))
+    series = r1.correlation_series(r1.RankOneSpec(51, ()), a, 10)
+    entries = series.entries
+    assert [v for _, v in entries] == [2, Fraction(1, 2)] + [0] * 9
+    assert len(entries.values) == 11
+    short = r1._Pairs(entries.values[:2], 11, entries.zero)
+    assert short.values != entries.values
+    assert short == entries and entries == short and not short != entries
+    assert hash(short) == hash(entries)
+    assert r1.CorrelationSeries(short) == series
+    # negative controls: a changed tail value, zero or length is unequal
+    long = _three_level_series(3000).entries
+    values, length, zero = long.values, len(long), long.zero
+    assert len(values) < length - 1
+    for other in (
+        r1._Pairs(
+            values + (zero,) * (length - len(values) - 1) + (Fraction(1, 2**40),),
+            length, zero,
+        ),
+        r1._Pairs(values, length, Fraction(1, 2**40)),
+        r1._Pairs(values, length + 1, zero),
+        r1._Pairs(values, length - 1, zero),
+    ):
+        assert other != long and long != other and not other == long
+
+
+def test_series_slices_read_as_tuple_slices():
+    entries = _three_level_series(400).entries
+    pairs = tuple(entries)
+    assert entries[1:3] == pairs[1:3] == ((1, pairs[1][1]), (2, pairs[2][1]))
+    stored, length = len(entries.values), len(entries)
+    assert 0 < stored < length
+    bounds = (
+        None, 0, 5, stored - 3, stored, stored + 3, length, length + 9,
+        -1, -(length - stored) - 2, -length - 9,
+    )
+    for start, stop, step in product(bounds, bounds, (None, 1, 2, 7, -1, -3)):
+        s = slice(start, stop, step)
+        got = entries[s]
+        assert type(got) is tuple and got == pairs[s], s
+    # a slice that crosses from the stored values into the zero tail
+    assert entries[stored - 2 : stored + 2] == (
+        (stored - 2, entries.values[-2]), (stored - 1, entries.values[-1]),
+        (stored, entries.zero), (stored + 1, entries.zero),
+    )
+    assert entries[::-1] == pairs[::-1] and entries[-1:-4:-1][0] == (length - 1, entries.zero)
+    with pytest.raises(ValueError):
+        entries[::0]
+
+
 def propagated_levels(spec, a, stage):
     """Level indices of `a` in the stage tower, grown by S -> S + (S + h_j)."""
     s = frozenset(a.levels)
@@ -615,7 +727,7 @@ def test_decomposition_examples():
     assert d.terms == ((1, 5), (1, 3), (-1, 2)) and d.remainder == 0
 
     # genuinely sparse spacers: midway times have no short representation
-    sparse = r1.design_spacers([(10**j, 2 * 10**j) for j in range(2, 7)], 1)
+    sparse = r1.design_spacers(DECADES, 1)
     shs = r1.heights(sparse.spec, sparse.spec.max_stage)
     mid = (shs[2] + shs[3]) // 2
     assert r1.nonmixing_decomposition(mid, shs, Fraction(1, 4), one) is None
@@ -624,7 +736,7 @@ def test_decomposition_examples():
 
 
 def test_decomposition_greedy_matches_exhaustive_reachability():
-    sparse = r1.design_spacers([(10**j, 2 * 10**j) for j in range(2, 7)], 1)
+    sparse = r1.design_spacers(DECADES, 1)
     hs = r1.heights(sparse.spec, sparse.spec.max_stage)
     sums = exhaustive_signed_sums(hs, 2)
     for n in range(1, 2000):
