@@ -29,10 +29,12 @@ through the layout, the five stages give:
   s3 = r2        (k, 0) fixed;  (k, 1) <-> (-k, h-1);
                  (k, l) <-> (k, h-l) for 2 <= l <= h-2;  run index i -> -i mod L
 
-`factor_three_involutions` builds s1 and s2 from this table: s2 takes one
-grid of the column atoms re-indexed by slices and one scatter, and s1
-scatters only the atoms it moves. As s1 and s2 are involutions, s1 s2 s3 = T
-fixes s3 = s2 s1 T, which is its row above. The stagewise pipeline allocates
+`factor_three_involutions` builds s1 and s2 from this table as column
+scatters on the grid a[k, l] of column atoms: s[a[:, l]] takes the column
+of a that holds the images of level l, re-indexed by k -> 1-k or -k mod q
+where the table crosses columns; the residual runs are scattered after.
+As s1 and s2 are involutions, s1 s2 s3 = T fixes s3 = s2 s1 T, which is
+its row above. The stagewise pipeline allocates
 s, d1, d2, S, P, P's cycle listing and the reflections' index arrays
 instead, about two dozen n-sized temporaries. The test suite keeps the
 stagewise pipeline as the reference and checks the two byte for byte.
@@ -56,7 +58,13 @@ class InvolutionTriple:
     """Three involutions with s1(s2(s3(x))) equal to the target map.
 
     Each field is a read-only int64 array (see `perms`); any sequences of
-    atom indices are accepted and converted once. Equality is identity.
+    atom indices are accepted and converted once, and ValueError is raised
+    unless they are bijections on one atom count. Equality is identity.
+
+    `factor_three_involutions` returns through `_built`, which freezes the
+    arrays it has just made without that check: each is a bijection by
+    construction. `verify` stays the independent check of any triple, as an
+    involution is a bijection.
     """
 
     s1: np.ndarray
@@ -68,6 +76,14 @@ class InvolutionTriple:
             object.__setattr__(self, name, perms.as_permutation(getattr(self, name)))
         if not self.s1.size == self.s2.size == self.s3.size:
             raise ValueError("the three involutions act on different atom counts")
+
+    @classmethod
+    def _built(cls, s1: np.ndarray, s2: np.ndarray, s3: np.ndarray) -> InvolutionTriple:
+        """The triple of three int64 bijections of one size, frozen in place."""
+        triple = object.__new__(cls)
+        for name, s in (("s1", s1), ("s2", s2), ("s3", s3)):
+            object.__setattr__(triple, name, perms._frozen(s))
+        return triple
 
     def compose(self) -> np.ndarray:
         return perms.compose(self.s1, perms.compose(self.s2, self.s3))
@@ -107,7 +123,7 @@ def factor_three_involutions(
     if n <= 2:
         sys.walk()  # ValueError unless the map is a single n-cycle
         ident = np.arange(n)
-        return InvolutionTriple(ident, ident, sys.map)
+        return InvolutionTriple._built(ident, ident, sys.map)
 
     order = sys.walk()
     h = min(height, n)
@@ -127,15 +143,14 @@ def factor_three_involutions(
 
     # s1 = P S P^-1: level 1 across turn, level 2 across flip; the run heads below
     s1 = np.arange(n)
-    s1[a[:, 1:3]] = np.stack((a[turn, 1], a[flip, 2]), axis=1)
+    s1[a[:, 1]] = a[turn, 1]
+    s1[a[:, 2]] = a[flip, 2]
 
     # s2 = r1: base of k <-> level 1 of 1-k, level l <-> level h+1-l for l >= 2
-    b = np.empty_like(a)
-    b[:, 0] = a[turn, 1]
-    b[:, 1] = a[turn, 0]
-    b[:, 2:] = a[:, :1:-1]
     s2 = np.empty(n, dtype=np.int64)
-    s2[a] = b
+    s2[a[:, 0]] = a[turn, 1]
+    s2[a[:, 1]] = a[turn, 0]
+    s2[a[:, 2:]] = a[:, :1:-1]
 
     # residual runs: index i of a run of length L goes to 1-i mod L under s2;
     # s1 swaps the head of run k with the base of column k+1
@@ -148,4 +163,4 @@ def factor_three_involutions(
             s1[bases] = heads
             i = np.arange(run.shape[1])
             s2[run] = run[:, (1 - i) % i.size]
-    return InvolutionTriple(s1, s2, s2[s1[sys.map]])  # s3 = s2 s1 T
+    return InvolutionTriple._built(s1, s2, s2[s1[sys.map]])  # s3 = s2 s1 T

@@ -25,7 +25,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class HarmonicField:
-    """GF(2) cells indexed [y, x]; x wraps (cylinder), y is free."""
+    """GF(2) cells indexed [y, x]; x wraps (cylinder), y is free.
+
+    Caller cells are checked to be a 2-D array of 0/1 values.
+    `field_from_rows` builds its field through `_built` without that check:
+    it unpacks its cells bit by bit, so each is 0 or 1 by construction.
+    """
 
     cells: np.ndarray
 
@@ -34,6 +39,13 @@ class HarmonicField:
             raise ValueError("cells must be a 2-D array")
         if not _binary(self.cells):
             raise ValueError("cells must be 0/1 valued")
+
+    @classmethod
+    def _built(cls, cells: np.ndarray) -> HarmonicField:
+        """The field of a 2-D array of 0/1 cells, taken as it is."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "cells", cells)
+        return field
 
     @property
     def width(self) -> int:
@@ -92,7 +104,7 @@ def field_from_rows(row0, row1, height: int) -> HarmonicField:
     packed = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words), np.uint8)
     cells[:] = np.unpackbits(packed.reshape(height, nbytes), axis=1, count=width,
                              bitorder="little")
-    return HarmonicField(cells)
+    return HarmonicField._built(cells)
 
 
 def _binary(a: np.ndarray) -> bool:

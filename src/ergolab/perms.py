@@ -3,7 +3,10 @@
 A permutation is a read-only np.int64 array p of length n with p[i] the
 image of atom i. Composition follows function order: compose(f, g) = f[g]
 applies g first. Every function here takes and returns that form; caller
-sequences enter it once, through `as_permutation`.
+sequences enter it once, through `as_permutation`. Arrays the library
+builds as bijections by construction skip that check and are only frozen
+(`_frozen`): the triples of `involutions.factor_three_involutions`, whose
+`verify` stays the independent check.
 
 `cycles` lists the disjoint cycles of p, each from its least atom; the
 walk of a single cycle and the recurrence counts both read that listing.

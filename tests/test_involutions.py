@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,10 +145,14 @@ def test_factor_examples():
 
 
 def test_factor_small_and_awkward_sizes():
-    # includes sizes where the residual outnumbers the columns
-    for n in [3, 4, 5, 7, 11, 12, 13, 14, 21, 22, 23, 25, 32, 109, 110, 121]:
+    # includes sizes where the residual outnumbers the columns; n <= 2 is
+    # the trivial triple
+    for n in [1, 2, 3, 4, 5, 7, 11, 12, 13, 14, 21, 22, 23, 25, 32, 109, 110, 121]:
         sys_ = FinitePermutationSystem.cycle(n)
-        assert factor_three_involutions(sys_).verify(sys_.map), n
+        triple = factor_three_involutions(sys_)
+        assert triple.verify(sys_.map), n
+        for s in (triple.s1, triple.s2, triple.s3):
+            assert s.dtype == np.int64 and s.shape == (n,) and not s.flags.writeable, n
 
 
 def test_factor_random_cycles_sample():
@@ -225,6 +231,47 @@ def test_verify_rejects_swapped_entries():
     s1 = triple.s1.copy()
     s1[[0, 1]] = s1[[1, 0]]
     assert not InvolutionTriple(s1, triple.s2, triple.s3).verify(sys_.map)
+
+
+def test_public_triple_rejects_non_bijections_and_mixed_sizes():
+    ident = [0, 1, 2]
+    for fields in ([[0, 0, 2], ident, ident], [ident, [0, 0, 2], ident],
+                   [ident, ident, [0, 0, 2]], [ident, ident, [0, 1, 3]]):
+        with pytest.raises(ValueError, match="bijection"):
+            InvolutionTriple(*fields)
+    for fields in ([[0, 1], ident, ident], [ident, [0], ident], [ident, ident, [1, 0]]):
+        with pytest.raises(ValueError, match="different atom counts"):
+            InvolutionTriple(*fields)
+
+
+def test_verify_rejects_a_built_triple_with_a_duplicate_entry():
+    # the library's own triples skip the bijection check; verify still
+    # catches a non-bijection, since no such map squares to the identity
+    sys_ = FinitePermutationSystem.random_cycle(300, seed=1)
+    triple = factor_three_involutions(sys_)
+    fields = [triple.s1, triple.s2, triple.s3]
+    for k in range(3):
+        bad = fields[k].copy()
+        bad[0] = bad[1]  # in range, but atom bad[1] now has two preimages
+        broken = fields[:k] + [bad] + fields[k + 1:]
+        assert not InvolutionTriple._built(*broken).verify(sys_.map), k
+        with pytest.raises(ValueError, match="bijection"):
+            InvolutionTriple(*broken)
+
+
+def test_factor_peak_memory_at_1e5():
+    n = 10**5
+    sys_ = FinitePermutationSystem.random_cycle(n, 1)
+    sys_.walk()  # the walk is the system's, kept for later calls
+    tracemalloc.start()
+    try:
+        factor_three_involutions(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # s1, s2 and s3 are 3 n-sized int64 arrays; at the peak the grid of
+    # column atoms and the gather s1 T that s3 is read through are 2 more
+    assert peak < 6.5 * 8 * n, peak / (8 * n)
 
 
 def _outcome(factor, sys_, height):
