@@ -40,10 +40,12 @@ two consecutive stages are no certificate: for RankOneSpec(2, (3, 1, 3, 5,
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
+from numbers import Rational
 
 import numpy as np
 
@@ -400,41 +402,52 @@ def nonmixing_decomposition(
 ) -> SignedDecomposition | None:
     """Greedy signed-height decomposition of a non-mixing time.
 
-    The term count m is capped by 2^-m * mu_a >= c; heights are consumed in
-    strictly decreasing stage order, each chosen nearest to the running
-    remainder. Returns None when the remainder cannot be brought within
-    remainder_cap under those constraints; a negative remainder_cap, c <= 0
-    or mu_a <= 0 raises. mu_a may exceed 1: stage-1 levels have width 1.
+    The term count is capped by the largest m with 2^-m * mu_a >= c. Since
+    2^m is an integer, 2^m <= mu_a / c exactly when 2^m <= floor(mu_a / c),
+    so the cap is floor(log2(floor(mu_a / c))), and 0 when mu_a < 2c. A
+    float c is compared exactly, as the binary fraction it holds; c = inf
+    or nan admits no term. Heights are consumed in strictly decreasing
+    stage order, each the nearest height to the running remainder's
+    magnitude among the stages still below the last one taken; a tie goes
+    to the larger stage. Returns None when the remainder cannot be brought
+    within remainder_cap under those constraints. A negative remainder_cap,
+    heights not strictly increasing, c <= 0 or mu_a <= 0 raise ValueError;
+    a mu_a that is not rational (a float) raises TypeError. mu_a may
+    exceed 1: stage-1 levels have width 1.
     """
     if remainder_cap < 0:
         raise ValueError("remainder cap must be non-negative")
-    if any(hs[i] >= hs[i + 1] for i in range(len(hs) - 1)):
+    if not all(map(operator.lt, hs, hs[1:])):
         raise ValueError("heights must be strictly increasing")
     if c <= 0:
         raise ValueError("threshold must be positive")
     if mu_a <= 0:
         raise ValueError("measure must be positive")
-    m_bound = 0
-    while Fraction(mu_a, 2 ** (m_bound + 1)) >= c:
-        m_bound += 1
-    if m_bound == 0:
+    if not isinstance(mu_a, Rational):
+        raise TypeError("measure must be a rational number")
+    try:
+        c_num, c_den = c.as_integer_ratio()
+    except (OverflowError, ValueError):  # c is inf or nan
+        return None
+    m_bound = (mu_a.numerator * c_den // (mu_a.denominator * c_num)).bit_length() - 1
+    if m_bound <= 0:
         return None
     remaining = n
     terms: list[tuple[int, int]] = []
-    next_j = len(hs) - 1
-    while remaining != 0 and abs(remaining) > remainder_cap and len(terms) < m_bound:
-        best = None
-        for j in range(next_j, -1, -1):
-            gain = abs(abs(remaining) - hs[j])
-            if best is None or gain < best[0]:
-                best = (gain, j)
-        if best is None or best[0] >= abs(remaining):
+    stop = len(hs)  # the stages still open are 1..stop
+    while abs(remaining) > remainder_cap and len(terms) < m_bound:
+        x = abs(remaining)
+        # hs[j - 1] < x <= hs[j]; the heights increase, so one of the two
+        # is the nearest
+        j = bisect_left(hs, x, 0, stop)
+        if j == stop or (j > 0 and x - hs[j - 1] < hs[j] - x):
+            j -= 1
+        if j < 0 or abs(x - hs[j]) >= x:
             break
         sign = 1 if remaining > 0 else -1
-        j = best[1]
         terms.append((sign, j + 1))
         remaining -= sign * hs[j]
-        next_j = j - 1
+        stop = j
     if abs(remaining) > remainder_cap or not terms:
         return None
     return SignedDecomposition(tuple(terms), remaining, m_bound)

@@ -1,5 +1,8 @@
 import gc
+import math
+import operator
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice, product
@@ -540,6 +543,10 @@ def test_equal_series_may_store_different_prefixes():
         r1._Pairs(values, length - 1, zero),
     ):
         assert other != long and long != other and not other == long
+    # zeros that no time reads do not count: both prefixes cover the length
+    full = entries.values
+    other_zero = r1._Pairs(full, len(full), Fraction(1, 2**40))
+    assert other_zero == entries and entries == other_zero
 
 
 def test_series_slices_read_as_tuple_slices():
@@ -778,6 +785,124 @@ def test_decomposition_measure_must_be_positive():
     # mu above 1 is valid: stage-1 levels have width 1
     d = r1.nonmixing_decomposition(hs[4], hs, Fraction(1, 4), Fraction(3))
     assert d.terms == ((1, 5),) and d.term_bound == 3
+
+
+def reference_decomposition(n, hs, c, mu_a, remainder_cap=0, closer=operator.lt):
+    """The greedy decomposition by a descending scan over the open stages,
+    which keeps the first height `closer` to the remainder than the best so
+    far (so operator.lt gives a tie to the larger stage), and the term
+    bound by halving mu_a until it falls below c. The inputs are taken as
+    valid."""
+    m_bound = 0
+    while Fraction(mu_a, 2 ** (m_bound + 1)) >= c:
+        m_bound += 1
+    if m_bound == 0:
+        return None
+    remaining = n
+    terms = []
+    next_j = len(hs) - 1
+    while remaining != 0 and abs(remaining) > remainder_cap and len(terms) < m_bound:
+        best = None
+        for j in range(next_j, -1, -1):
+            gain = abs(abs(remaining) - hs[j])
+            if best is None or closer(gain, best[0]):
+                best = (gain, j)
+        if best is None or best[0] >= abs(remaining):
+            break
+        sign = 1 if remaining > 0 else -1
+        j = best[1]
+        terms.append((sign, j + 1))
+        remaining -= sign * hs[j]
+        next_j = j - 1
+    if abs(remaining) > remainder_cap or not terms:
+        return None
+    return tuple(terms), remaining, m_bound
+
+
+def decomposition_cases(rng, count):
+    """(n, hs, c, mu_a, cap): random strictly increasing heights and those
+    of the geometric and decades specs; times at heights, at midpoints
+    between neighbours (ties when the sum is even), off signed sums and
+    random, of either sign; mu_a / c at, just below and just above a power
+    of two, a float c among them."""
+    decades = r1.design_spacers(DECADES, 1).spec
+    specs = [r1.heights(geometric_spec(12), 13), r1.heights(decades, decades.max_stage)]
+    eps = Fraction(1, 10**9)
+    for _ in range(count):
+        if rng.random() < 0.3:
+            hs = rng.choice(specs)
+        else:
+            top = rng.choice((40, 1000, 10**6))
+            hs = sorted(rng.sample(range(1, top), rng.randrange(min(15, top - 1))))
+        kind = rng.randrange(5)
+        if len(hs) < 2 or kind == 0:
+            n = rng.randrange(-2 * (hs[-1] if hs else 9), 2 * (hs[-1] if hs else 9) + 1)
+        else:
+            j = rng.randrange(len(hs) - 1)
+            mid = (hs[j] + hs[j + 1]) // 2
+            if kind == 1:
+                n = hs[j + 1]
+            elif kind == 2:
+                n = mid
+            else:
+                # a larger height, then a tie or a height below it
+                k = rng.randrange(j + 1, len(hs))
+                n = hs[k] + rng.choice((1, -1)) * (mid if kind == 3 else hs[j])
+            n += rng.choice((0, 0, 0, 1, -1))
+        n *= rng.choice((1, -1))
+        mu = Fraction(rng.randrange(1, 64), rng.randrange(1, 64))
+        c = mu / 2 ** rng.randrange(8) * rng.choice((1, 1, 1 - eps, 1 + eps))
+        if rng.random() < 0.1:
+            c = float(c)
+        yield n, hs, c, mu, rng.choice((0, 1, 5, 100))
+
+
+def _fields(d):
+    return None if d is None else (d.terms, d.remainder, d.term_bound)
+
+
+def test_decomposition_matches_the_scan_reference():
+    cases = list(decomposition_cases(random.Random(27), 20_000))
+    decomposed = 0
+    tie_breaks = 0
+    for n, hs, c, mu, cap in cases:
+        expected = reference_decomposition(n, hs, c, mu, cap)
+        got = _fields(r1.nonmixing_decomposition(n, hs, c, mu, cap))
+        assert got == expected, (n, hs, c, mu, cap)
+        decomposed += got is not None
+        # negative control: a tie to the smaller stage decomposes otherwise
+        tie_breaks += reference_decomposition(n, hs, c, mu, cap, operator.le) != expected
+    assert decomposed > 4000, decomposed
+    assert tie_breaks > 500, tie_breaks
+
+
+def test_decomposition_input_contract():
+    hs = r1.heights(geometric_spec(8), 8)
+    one = Fraction(1)
+
+    def bound(c, mu):
+        return r1.nonmixing_decomposition(hs[4], hs, c, mu).term_bound
+
+    # a float threshold is compared as the binary fraction it holds:
+    # 0.1 lies above 1/10, so 2/5 halved twice falls below it
+    assert bound(0.1, one) == 3 and bound(1e-300, one) == 996
+    assert bound(0.1, Fraction(2, 5)) == 1 and bound(Fraction(1, 10), Fraction(2, 5)) == 2
+    for c in (math.inf, math.nan):
+        assert r1.nonmixing_decomposition(hs[4], hs, c, one) is None
+    with pytest.raises(TypeError):
+        r1.nonmixing_decomposition(hs[4], hs, Fraction(1, 4), 0.5)
+    expected = r1.nonmixing_decomposition(hs[4], hs, Fraction(1, 4), one)
+    for mu in (1, True):
+        assert r1.nonmixing_decomposition(hs[4], hs, Fraction(1, 4), mu) == expected
+    for bad in ([1, 3, 3, 9], [1, 9, 3], (5, 4)):
+        with pytest.raises(ValueError, match="heights must be strictly increasing"):
+            r1.nonmixing_decomposition(3, bad, Fraction(1, 4), one)
+    for n in (0, 3, -3):
+        assert r1.nonmixing_decomposition(n, [], Fraction(1, 4), one) is None
+    t0 = time.perf_counter()
+    d = r1.nonmixing_decomposition(hs[4], hs, Fraction(1, 2**14000), one)
+    assert time.perf_counter() - t0 < 2.0
+    assert d.term_bound == 14000 and d.terms == ((1, 5),)
 
 
 def test_design_spacers_examples():
