@@ -20,14 +20,18 @@ D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|). No count exceeds D(0) = |S|, and
 levels of S lie farther apart than the span, so D(n) = 0 for every n past
 it.
 
-A series needs D only on [0, n_max]. Call a step far when h_j exceeds the
-span of the set grown so far by more than n_max: then S + h_j puts no
-difference <= n_max against S, and D_{j+1} = 2*D_j there. The gap h_j - span
-grows by s_j from each step to the next, so every step after a far one is
-far too. A series stops growing the set at the first far step and folds the
-remaining doublings into the level width, so step heights past 2^63 never
-reach an int64 array. It stores values only through min(span, n_max) for
-the grown set's span; every later time reads one shared zero.
+A series needs D only on [0, n_max], so it clamps each gap between
+consecutive levels at n_max + 1: a difference <= n_max sums gaps <= n_max,
+which the clamp leaves alone, and a larger one keeps its gaps or holds a
+clamped one, so every count on [0, n_max] is kept. A step is far when
+h_j - span > n_max for the set grown so far: S + h_j then puts no
+difference <= n_max against S, and D_{j+1} = 2*D_j there. That gap grows
+by s_j from each step to the next, so every step after a far one is far
+too. A series stops growing the set at the first far step, sparing pairs
+it never reads, and folds the remaining doublings into the level width;
+a near step's middle gap h_j - span is at most n_max, so no clamp
+touches it. It stores values only through min(span, n_max) for the grown
+set's span; every later time reads one shared zero.
 
 A query has one certificate: no level of A lies within n of the working
 tower's top, so every orbit segment of length n stays inside it. Values
@@ -44,7 +48,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from numbers import Rational
 
 import numpy as np
@@ -121,10 +125,11 @@ class LevelSet:
         return len(self.levels) * level_width(self.stage)
 
 
-def _check_levels(hs: list[int], a: LevelSet) -> int:
-    """Reject `a` unless it is a set of levels of its own stage tower and
-    that stage is not deeper than the working stage len(hs); return its
-    highest level there, or 0 when it is empty."""
+def _top_level(hs: list[int], a: LevelSet) -> int:
+    """Highest level index of `a` in the stage-j tower, j = len(hs), or 0
+    when `a` is empty: a stage-i level l has its highest copy at
+    l + h_i + ... + h_{j-1}. Rejects `a` unless it is a set of levels of
+    its own stage tower and that stage is not deeper than j."""
     if a.stage > len(hs):
         raise ValueError("working stage is shallower than the set's stage")
     if not a.levels:
@@ -134,16 +139,6 @@ def _check_levels(hs: list[int], a: LevelSet) -> int:
         raise ValueError("level index outside its stage tower")
     if min(a.levels) < 0:
         raise ValueError("negative level index")
-    return top
-
-
-def _top_level(hs: list[int], a: LevelSet) -> int:
-    """Highest level index of `a` in the stage-j tower, j = len(hs), or 0
-    when `a` is empty: a stage-i level l has its highest copy at
-    l + h_i + ... + h_{j-1}."""
-    top = _check_levels(hs, a)
-    if not a.levels:
-        return 0
     return top + sum(hs[a.stage - 1 : -1])
 
 
@@ -202,7 +197,7 @@ def min_exact_stage(spec: RankOneSpec, a: LevelSet, n_max: int) -> int:
     shrinks and grows by h_j at each tail stage. A is checked once, and the
     height and the top level then grow together, one stage per step."""
     hs = heights(spec, a.stage)
-    h, top, stage = hs[-1], _check_levels(hs, a), a.stage
+    h, top, stage = hs[-1], _top_level(hs, a), a.stage
     while True:
         if a.levels:
             top += h
@@ -282,15 +277,15 @@ def correlation_series(
     leaves the tower within n_max steps. From that stage on, D only doubles
     on [0, n_max] while the width halves, so every deeper stage gives the
     same series.
-    It is built from A's own levels, as offsets from the least one, by
-    D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|) on an int64 array as long as the
-    difference span; when the grown set is small next to that span, its
-    pairs are counted directly instead. Growth stops at the first far step
-    (see `_near_steps`): the later steps only double D on [0, n_max], and
-    the doublings are folded into the denominator. Counts are at most the
-    grown set's size, so int64 is exact for any array that fits in memory;
-    a set that would span 2^63 levels or more raises ValueError, as does a
-    negative n_max.
+    It is built from A's own levels, as offsets over gaps clamped at
+    n_max + 1, by D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|) on an int64 array
+    as long as the difference span; when the grown set is small next to
+    that span, its pairs are counted directly instead. Growth stops at the
+    first far step (see `_near_steps`): the later steps only double D on
+    [0, n_max], and the doublings are folded into the denominator. Counts
+    are at most the grown set's size, so int64 is exact for any array that
+    fits in memory. A negative n_max raises ValueError, as does a clamped
+    span of 2^63 levels or more.
     No two levels of the grown set S differ by more than its span, so
     D(n) = 0 for every n past it: the counts, and the stored values, run
     only through min(span, n_max), and every later time reads one shared
@@ -315,7 +310,10 @@ def correlation_series(
     if a.levels:
         low = min(a.levels)
         offsets = sorted(l - low for l in a.levels)
-        steps = _near_steps(steps, offsets[-1], n_max)
+        span, cap = offsets[-1], n_max + 1
+        if span > cap:  # else no gap passes the clamp
+            offsets = [0, *accumulate(min(m - l, cap) for l, m in pairwise(offsets))]
+        steps = _near_steps(steps, span, offsets[-1], n_max)
         counts = _grown_differences(np.array(offsets, dtype=np.int64), steps, n_max)[
             : n_max + 1
         ]
@@ -331,19 +329,20 @@ def correlation_series(
     return CorrelationSeries(_Pairs(values, n_max + 1, shared[0]))
 
 
-def _near_steps(steps: Sequence[int], span: int, n_max: int) -> Sequence[int]:
-    """The steps before the first far one (see the module docstring), for a
-    set whose levels span `span`: h is far when h - span > n_max, where
-    span grows by each step taken. Raises ValueError when the set grown by
-    the near steps spans 2^63 levels or more, which int64 cannot hold."""
-    for k, h in enumerate(steps):
+def _near_steps(steps: Sequence[int], span: int, clamped: int, n_max: int) -> list[int]:
+    """The near steps (see the module docstring) of a set that spans `span`
+    levels and `clamped` over clamped gaps, each as the clamped span so far
+    plus its middle gap h - span. Raises ValueError at a clamped span of 2^63."""
+    near = []
+    for h in steps:
         if h - span > n_max:
-            steps = steps[:k]
             break
+        near.append(clamped + h - span)
         span += h
-    if span >= 1 << 63:
-        raise ValueError("level set spans 2^63 levels or more, past int64 offsets")
-    return steps
+        clamped += near[-1]
+    if clamped >= 1 << 63:
+        raise ValueError("clamped level set spans 2^63 levels, past int64 offsets")
+    return near
 
 
 # differences held at once while counting level pairs

@@ -71,6 +71,9 @@ def test_rokhlin_errors():
     sys_ = FinitePermutationSystem.cycle(5)
     with pytest.raises(ValueError):
         core.rokhlin_tower(sys_, 6)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be positive"):
+            FinitePermutationSystem.cycle(n)
 
 
 def test_rokhlin_residual_bound_all_small():
@@ -138,6 +141,16 @@ def test_lehrer_weiss_requires_nonempty_target():
     sys_ = FinitePermutationSystem.cycle(6)
     with pytest.raises(ValueError):
         core.lehrer_weiss_tower(sys_, 2, sys_.subset([]))
+
+
+def test_lehrer_weiss_input_errors():
+    sys_ = FinitePermutationSystem.cycle(6)
+    y = sys_.subset([1, 3])
+    for h in (0, -2, 7):
+        with pytest.raises(ValueError, match="need 1 <= h <= n"):
+            core.lehrer_weiss_tower(sys_, h, y)
+    with pytest.raises(ValueError, match="different system"):
+        core.lehrer_weiss_tower(sys_, 2, FinitePermutationSystem.cycle(7).subset([1, 3]))
 
 
 def test_lehrer_weiss_matches_brute_force_small():

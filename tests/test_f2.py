@@ -251,6 +251,27 @@ def test_assignment_cap_enforced():
     window = f2.ball(1)
     with pytest.raises(ValueError):
         f2.CylinderPatternSet(window, frozenset([64]))  # out of range for 5 words
+    # 53 words admit 2^53 masks; one more than the cap is refused
+    big = f2.ball(3)
+    at_cap = f2.CylinderPatternSet(big, frozenset(range(f2.ASSIGNMENT_CAP)))
+    assert len(at_cap.assignments) == f2.ASSIGNMENT_CAP
+    with pytest.raises(CapExceeded, match="exceed cap"):
+        f2.CylinderPatternSet(big, frozenset(range(f2.ASSIGNMENT_CAP + 1)))
+
+
+def test_pattern_set_input_errors():
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        f2.ball(-1)
+    for window in (("a", ""), ("", "a", "a"), ("", "ab", "b")):
+        with pytest.raises(ValueError, match="shortlex-sorted and duplicate-free"):
+            f2.CylinderPatternSet(window, frozenset([0]))
+    # "aAb" and "b" reduce to the same word
+    with pytest.raises(ValueError, match="constraints repeat a word"):
+        f2.cylinder({"b": 0, "aAb": 1})
+    for value in (2, -1):
+        with pytest.raises(ValueError, match="values must be 0 or 1"):
+            f2.cylinder({"": 1, "a": value})
+    assert f2.cylinder({"": 1, "a": 0}).assignments == frozenset([1])
 
 
 def test_search_matches_the_per_mask_reference_climb(monkeypatch):

@@ -113,6 +113,9 @@ def test_cycle_two_involutions_k3():
 def test_cycle_two_involutions_k1():
     s1, s2 = cycle_two_involutions(1)
     assert s1.tolist() == [0] and s2.tolist() == [0]
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="k must be positive"):
+            cycle_two_involutions(k)
 
 
 def test_cycle_two_involutions_k11():

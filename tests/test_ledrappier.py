@@ -99,6 +99,9 @@ def test_cell_check_is_the_isin_predicate():
     for cells in rejected:
         with pytest.raises(ValueError, match="0/1 valued"):
             led.HarmonicField(cells)
+    for cells in (np.array([0, 1, 1]), np.zeros((2, 2, 2), dtype=np.uint8), np.array(1)):
+        with pytest.raises(ValueError, match="cells must be a 2-D array"):
+            led.HarmonicField(cells)
     for cells in accepted:
         assert led.HarmonicField(cells).cells is cells
 

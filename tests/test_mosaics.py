@@ -144,6 +144,16 @@ def test_validator_rejects_corruption():
     # two touching blues
     grid = [[BLUE, BLUE]]
     assert not mo.validate_mosaic(mo.Mosaic(2, 1, 2, tuple(tuple(r) for r in grid)))
+    # a row past the height, a column past the width, or a row short: the
+    # rest of the check reads the first two as the 2-by-2 tile, a mosaic
+    tile = ((0, 0), (0, 0))
+    assert mo.validate_mosaic(mo.Mosaic(2, 2, 2, tile))
+    for cells in (tile + ((0, 0),), ((0, 0, 1), (0, 0, 1)), tile[:1]):
+        assert not mo.validate_mosaic(mo.Mosaic(2, 2, 2, cells)), cells
+    # a 2-by-2 block labelled below BLUE, which the block check accepts
+    assert not mo.validate_mosaic(mo.Mosaic(2, 2, 2, ((-2, -2), (-2, -2))))
+    # a tile whose block would reach past the edge
+    assert not mo.validate_mosaic(mo.Mosaic(3, 2, 2, ((0, 0, 1), (0, 0, 1))))
 
 
 def test_entropy_profile_k3_non_increasing_on_doublings():
@@ -221,6 +231,33 @@ def test_generate_agrees_with_transfer_count_every_board():
                         assert count == 1, (w, h, k, adjacency)
                         assert m.adjacency == adjacency
                         assert mo.validate_mosaic(m), (w, h, k, adjacency)
+
+
+def test_row_transitions_keep_blues_off_the_diagonals():
+    # a blue in the middle of the previous row: under 8-adjacency neither
+    # corner may be blue, and a tile covers only two of the three columns
+    state = ((0, 0, 0), (0, 1, 0))
+    assert mo._row_transitions(state, 3, 2, 8) == []
+    assert sorted(mo._row_transitions(state, 3, 2, 4)) == [
+        ((0, 1, 1), (1, 0, 0)),
+        ((1, 1, 0), (0, 0, 1)),
+    ]
+
+
+def test_every_board_entry_rejects_a_bad_k_or_an_empty_board():
+    for k, w, h, message in (
+        (4, 4, 4, "k must be 2 or 3"),
+        (1, 4, 4, "k must be 2 or 3"),
+        (2, 0, 4, "board must be non-empty"),
+        (3, 3, 0, "board must be non-empty"),
+    ):
+        for call in (
+            lambda: mo.count_mosaics(w, h, k),
+            lambda: mo.entropy_profile([(w, h)], k),
+            lambda: mo.generate_mosaic(w, h, k),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_every_board_entry_rejects_an_adjacency_other_than_4_or_8():

@@ -299,10 +299,14 @@ def test_series_matches_the_unique_and_product_reference(monkeypatch):
         ("n_max = 0", geometric_spec(6), r1.LevelSet(2, frozenset([0, 2])), 0),
         # one level and no time past 0: a single distinct count
         ("one count", r1.RankOneSpec(4, ()), r1.LevelSet(1, frozenset([3])), 0),
-        # levels far apart in a tower just above them: the grown set is
-        # small next to its span, so its pairs are counted directly
-        ("pairs", r1.RankOneSpec(10**6 + 1, (0, 0)),
+        # levels far apart in a tower just above them: their gap is clamped
+        # at n_max + 1, and the grown set's short span takes the recursion
+        ("sparse", r1.RankOneSpec(10**6 + 1, (0, 0)),
          r1.LevelSet(1, frozenset([0, 10**6])), 10),
+        # the same set at a horizon past its size squared: the clamped span
+        # is long next to the grown set, so its pairs are counted directly
+        ("pairs", r1.RankOneSpec(10**6 + 1, (0, 0)),
+         r1.LevelSet(1, frozenset([0, 10**6])), 10**4),
         # 2^15 levels at the working stage: the table of counts is far
         # longer than the series
         ("long table", r1.RankOneSpec(1, (0,) * 14), r1.LevelSet(1, frozenset([0])), 3),
@@ -335,33 +339,45 @@ def test_series_matches_the_unique_and_product_reference(monkeypatch):
             assert max(used) == 2**15 and len(values) == 4
         if name == "holes":
             assert used == {0, 1, 2, 3, 4, 8}
-        if a.levels:
-            steps = r1.heights(spec, r1.min_exact_stage(spec, a, n_max))[a.stage - 1 : -1]
-            span = max(a.levels) - min(a.levels)
-            if len(r1._near_steps(steps, span, n_max)) < len(steps):
-                covered.add("far step")
-    assert covered == {"pairs", "recursion", "far step"}
+        levels = sorted(a.levels)
+        if any(m - l > n_max + 1 for l, m in zip(levels, levels[1:])):
+            covered.add("clamped")
+        if levels:
+            span = levels[-1] - levels[0]
+            for h in r1.heights(spec, r1.min_exact_stage(spec, a, n_max))[a.stage - 1 : -1]:
+                if h - span > n_max:
+                    covered.add("far step")
+                    break
+                span += h
+    assert covered == {"pairs", "recursion", "far step", "clamped"}
 
 
-def test_pair_path_series_matches_pointwise_queries(monkeypatch):
-    # two levels far apart and k zero spacers: the grown set is small next
-    # to its span, so the series counts its pairs directly
-    pair_sizes = []
-    real = r1._pair_differences
+def test_sparse_series_matches_pointwise_queries(monkeypatch):
+    # two levels far apart and k zero spacers: the gap is clamped at
+    # n_max + 1, so the recursion runs over a short array instead of
+    # counting the pairs of the |A| * 2^(k+1) grown levels
+    pair_sizes, lengths = [], []
+    pairs, grown = r1._pair_differences, r1._grown_differences
     monkeypatch.setattr(
         r1, "_pair_differences",
-        lambda s, length: pair_sizes.append(len(s)) or real(s, length),
+        lambda s, length: pair_sizes.append(len(s)) or pairs(s, length),
+    )
+    monkeypatch.setattr(
+        r1, "_grown_differences",
+        lambda s, steps, n_max: lengths.append(len(d := grown(s, steps, n_max))) or d,
     )
     a = r1.LevelSet(1, frozenset([0, 10**6]))
-    for k in range(3, 11):
+    n_max = 10
+    for k in range(3, 15):
         spec = r1.RankOneSpec(10**6 + 1, (0,) * k)
         pair_sizes.clear()
-        series = r1.correlation_series(spec, a, 10)
-        # both levels, doubled by the k explicit steps and one tail step
-        assert pair_sizes == [4 << k], k
-        stage = r1.min_exact_stage(spec, a, 10)
+        lengths.clear()
+        series = r1.correlation_series(spec, a, n_max)
+        assert max(pair_sizes) <= len(a.levels), k
+        assert max(lengths) < 16 * 2**k * (n_max + 1), k
+        stage = r1.min_exact_stage(spec, a, n_max)
         assert [v for _, v in series.entries] == [
-            r1.correlation(spec, a, n, stage) for n in range(11)
+            r1.correlation(spec, a, n, stage) for n in range(n_max + 1)
         ], k
         assert series.value(1) == 1 - Fraction(1, 2 ** (k + 1))
 
@@ -422,18 +438,25 @@ def test_series_past_int64_step_heights_matches_pointwise():
     assert r1.correlation_series(*cases[1]).value(0) == Fraction(1, 2**63)
 
 
-def test_series_of_a_set_spanning_int64_raises():
-    for spec, a in (
+def test_series_of_a_set_spanning_int64_matches_pointwise():
+    for spec, a, head in (
         # A itself spans 2^63 levels
-        (r1.RankOneSpec(2**63 + 1, ()), r1.LevelSet(1, frozenset([0, 2**63]))),
+        (r1.RankOneSpec(2**63 + 1, ()), r1.LevelSet(1, frozenset([0, 2**63])),
+         [2, Fraction(1, 2)]),
         # A spans less, but its first copy lies within n_max of it
-        (r1.RankOneSpec(3 * 2**61, (0,)), r1.LevelSet(1, frozenset([0, 3 * 2**61 - 1]))),
+        (r1.RankOneSpec(3 * 2**61, (0,)), r1.LevelSet(1, frozenset([0, 3 * 2**61 - 1])),
+         [2, Fraction(3, 4)]),
     ):
-        with pytest.raises(ValueError, match="spans 2\\^63 levels or more"):
-            r1.correlation_series(spec, a, 8)
-        # the point query needs no array and still answers
         stage = r1.min_exact_stage(spec, a, 8)
-        assert r1.correlation(spec, a, 1, stage) == propagated_correlation(spec, a, 1, stage)
+        values = [v for _, v in r1.correlation_series(spec, a, 8).entries]
+        assert values == head + [0] * 7
+        assert values == [r1.correlation(spec, a, n, stage) for n in range(9)]
+        assert values == [propagated_correlation(spec, a, n, stage) for n in range(9)]
+    # gaps of 2^62 at a horizon of 2^63 are not clamped: the set's own
+    # span leaves int64 offsets, and the series raises rather than wraps
+    spec, a = r1.RankOneSpec(2**63 + 1, ()), r1.LevelSet(1, frozenset([0, 2**62, 2**63]))
+    with pytest.raises(ValueError, match="clamped level set spans 2\\^63 levels"):
+        r1.correlation_series(spec, a, 2**63)
 
 
 def test_series_pairs_read_as_a_tuple_of_pairs():
@@ -463,6 +486,10 @@ def test_series_pairs_read_as_a_tuple_of_pairs():
     assert [built.value(n) for n in range(301)] == [series.value(n) for n in range(301)]
     assert built == series and series == built and hash(built) == hash(series)
     assert r1.CorrelationSeries(tuple(changed)) != series
+    # a value that is no sequence is left to its own equality
+    for other in (None, 301, {n: v for n, v in pairs}):
+        assert entries.__eq__(other) is NotImplemented
+        assert entries != other and not entries == other
 
 
 def _three_level_series(n_max):
@@ -782,6 +809,9 @@ def test_decomposition_measure_must_be_positive():
     for mu in (Fraction(0), Fraction(-1), Fraction(-3, 2)):
         with pytest.raises(ValueError, match="measure must be positive"):
             r1.nonmixing_decomposition(hs[4], hs, Fraction(1, 4), mu)
+    for c in (Fraction(0), Fraction(-1, 4), 0.0, -math.inf):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            r1.nonmixing_decomposition(hs[4], hs, c, Fraction(1))
     # mu above 1 is valid: stage-1 levels have width 1
     d = r1.nonmixing_decomposition(hs[4], hs, Fraction(1, 4), Fraction(3))
     assert d.terms == ((1, 5),) and d.term_bound == 3
@@ -922,6 +952,11 @@ def test_design_spacers_examples():
         r1.design_spacers([(10, 20), (30, 35)], 1)  # lengths not increasing
     with pytest.raises(DesignError):
         r1.design_spacers([(2, 4)], 100)  # midpoint far below 3 * h1
+    with pytest.raises(DesignError, match="no intervals given"):
+        r1.design_spacers([])
+    for bad in ((20, 10), (0, 5), (-3, 5)):
+        with pytest.raises(DesignError, match="interval 1 is malformed"):
+            r1.design_spacers([(1, 2), bad], 1)
 
 
 def test_design_spacers_skips_dense_prefix():
@@ -958,6 +993,9 @@ def test_gap_intervals_errors():
         r1.gap_intervals(iter([]), 1)
     with pytest.raises(ValueError):
         r1.gap_intervals(iter([3, 3, 4]), 1)
+    for count in (0, -2):
+        with pytest.raises(ValueError, match="count must be positive"):
+            r1.gap_intervals(iter([1, 4, 9, 16]), count)
 
 
 def test_gap_intervals_stop_after_the_scan_cap(monkeypatch):

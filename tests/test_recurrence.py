@@ -263,6 +263,21 @@ def test_horizon_below_one_raises():
                 call()
 
 
+def test_sets_of_another_system_raise():
+    z5 = FinitePermutationSystem.cycle(5)
+    a, other = z5.subset([0, 2]), FinitePermutationSystem.cycle(6).subset([0, 2])
+    for sets in ((other, a, a), (a, other, a), (a, a, other)):
+        for call in (
+            lambda: rec.triple_intersection(z5, *sets, 1),
+            lambda: rec.triple_profile(z5, *sets, 3),
+            lambda: rec.furstenberg_average(z5, *sets, 3),
+        ):
+            with pytest.raises(ValueError, match="belongs to a different system"):
+                call()
+    with pytest.raises(ValueError, match="belongs to a different system"):
+        rec.roth_witness(z5, other, 3)
+
+
 def _gather_count(sys_, a, a1, a2, i):
     """n * mu(A & T^i A1 & T^2i A2) for i >= 0, with T^-i built by squaring
     the inverse map: numpy gathers only."""
