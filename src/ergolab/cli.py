@@ -306,12 +306,7 @@ def _cmd_ledrappier(args) -> tuple:
     if args.action == "stats":
         return _write_json, ledrappier.thread_statistics(field, args.samples, args.seed)
     ok = ledrappier.verify_harmonicity(field)
-    powers = {}
-    k = 0
-    while 2 ** (k + 1) < min(args.width, args.m):
-        powers[k] = ledrappier.power_identity_check(field, k)
-        k += 1
-    return _write_json, {"harmonic": ok, "power_checks": powers}
+    return _write_json, {"harmonic": ok, "power_checks": ledrappier.power_checks(field)}
 
 
 # PPM colours, indexed by "is blue": red tiles, blue cells

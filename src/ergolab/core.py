@@ -224,7 +224,8 @@ def lehrer_weiss_tower(sys: FinitePermutationSystem, h: int, y: AtomSet) -> Towe
     Finite-scale feasibility: some subset of y must cut the cycle into arcs
     of length divisible by h. Raises Infeasible when no subset does. The
     residual is the lexicographically first such subset of y's walk
-    positions, and it holds exactly n mod h atoms.
+    positions, and it holds exactly n mod h atoms. Those positions are where
+    y's membership mask, gathered in walk order, is set: ascending as found.
     """
     order = sys.walk()
     n = sys.n
@@ -234,7 +235,7 @@ def lehrer_weiss_tower(sys: FinitePermutationSystem, h: int, y: AtomSet) -> Towe
         raise ValueError("target set y must be non-empty")
     if y.n != n:
         raise ValueError("y belongs to a different system")
-    y_pos = np.sort(perms.inverse(order)[y.atoms]).tolist()
+    y_pos = np.flatnonzero(y.mask()[order]).tolist()
     roof = _arc_residual_search(y_pos, n, h)
     if roof is None:
         raise Infeasible(

@@ -10,6 +10,10 @@ The shift convention follows the coordinate action x(g) -> x(a g):
 translate(B, g) is the set of points whose g-shift lies in B, which carries
 window W to g*W and transports assignments wordwise. Composing translates
 then satisfies translate(translate(B, g), h) = translate(B, h*g).
+
+Moving assignments between windows is one bit gather, `_gather_bits`:
+`translate` reorders each mask into the shortlex order of g*W, and
+`disjoint` projects each mask onto the words two windows share.
 """
 
 from __future__ import annotations
@@ -92,21 +96,16 @@ class CylinderPatternSet:
     def measure(self) -> Fraction:
         return Fraction(len(self.assignments), 1 << len(self.window))
 
-    def index_of(self, word: str) -> int:
-        return self.window.index(word)
-
 
 def cylinder(constraints: dict[str, int]) -> CylinderPatternSet:
     """The single cylinder fixing the given word values."""
-    window = tuple(sorted({reduce_word(w) for w in constraints}, key=_shortlex_key))
-    if len(window) != len(constraints):
+    values = {reduce_word(w): v for w, v in constraints.items()}
+    if len(values) != len(constraints):
         raise ValueError("constraints repeat a word")
-    mask = 0
-    for i, w in enumerate(window):
-        if constraints[w] not in (0, 1):
-            raise ValueError("values must be 0 or 1")
-        if constraints[w]:
-            mask |= 1 << i
+    if any(v not in (0, 1) for v in values.values()):
+        raise ValueError("values must be 0 or 1")
+    window = tuple(sorted(values, key=_shortlex_key))
+    mask = sum(1 << i for i, w in enumerate(window) if values[w])
     return CylinderPatternSet(window, frozenset([mask]))
 
 
@@ -127,23 +126,13 @@ def translate(b: CylinderPatternSet, g: str) -> CylinderPatternSet:
     moved = [multiply(g, w) for w in b.window]
     order = sorted(range(len(moved)), key=lambda i: _shortlex_key(moved[i]))
     window = tuple(moved[i] for i in order)
-    remap = {old: new for new, old in enumerate(order)}
-    assignments = []
-    for m in b.assignments:
-        out = 0
-        for old in range(len(moved)):
-            if m >> old & 1:
-                out |= 1 << remap[old]
-        assignments.append(out)
-    return CylinderPatternSet(window, frozenset(assignments))
+    return CylinderPatternSet(window, _gather_bits(b.assignments, order))
 
 
-def _projection(
-    b: CylinderPatternSet, overlap: tuple[str, ...]
-) -> frozenset[int]:
-    idx = [b.index_of(w) for w in overlap]
+def _gather_bits(masks: frozenset[int], idx: list[int]) -> frozenset[int]:
+    """The masks with output bit pos read from input bit idx[pos]."""
     out = set()
-    for m in b.assignments:
+    for m in masks:
         v = 0
         for pos, i in enumerate(idx):
             if m >> i & 1:
@@ -164,8 +153,10 @@ def disjoint(b1: CylinderPatternSet, b2: CylinderPatternSet) -> bool:
         raise CapExceeded(f"merged window of {len(merged)} words exceeds cap")
     if not b1.assignments or not b2.assignments:
         return True
-    overlap = tuple(sorted(set(b1.window) & set(b2.window), key=_shortlex_key))
-    return not (_projection(b1, overlap) & _projection(b2, overlap))
+    overlap = sorted(set(b1.window) & set(b2.window), key=_shortlex_key)
+    p1, p2 = (_gather_bits(b.assignments, [b.window.index(w) for w in overlap])
+              for b in (b1, b2))
+    return not (p1 & p2)
 
 
 FAMILY = ("", "a", "b", "A", "B")

@@ -142,6 +142,16 @@ def power_identity_check(field: HarmonicField, k: int) -> bool:
     return _cross_holds(field.cells, d)
 
 
+def power_checks(field: HarmonicField) -> dict[int, bool]:
+    """`power_identity_check` at every k the grid holds, keyed by k.
+
+    k runs while 2^(k+1) < m = min(width, height), that is while
+    k + 1 < (m - 1).bit_length(); no k fits when m <= 2.
+    """
+    top = (min(field.width, field.height) - 1).bit_length() - 1
+    return {k: power_identity_check(field, k) for k in range(top)}
+
+
 _HEADINGS = {
     "up": (0, 1),
     "down": (0, -1),
@@ -211,7 +221,8 @@ def trace_thread(
 
 def thread_statistics(field: HarmonicField, samples: int, seed: int) -> dict:
     """Longest upward trace over sampled white starts, plus its coverage;
-    ValueError for fewer than one sample."""
+    ValueError for fewer than one sample. A trace never repeats a cell, so
+    a trace of length L covers L + 1 of the white cells."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
@@ -219,15 +230,7 @@ def thread_statistics(field: HarmonicField, samples: int, seed: int) -> dict:
     whites = len(xs)
     if whites == 0:
         return {"max_len": 0, "coverage_fraction": 0.0, "seed": seed}
-    best: ThreadTrace | None = None
-    for idx in rng.integers(0, whites, size=samples):
-        trace = trace_thread(field, (int(xs[idx]), int(ys[idx])), "up")
-        if best is None or trace.length > best.length:
-            best = trace
-    assert best is not None
-    return {
-        "max_len": best.length,
-        "coverage_fraction": len(set(best.path)) / whites,
-        "seed": seed,
-    }
+    max_len = max(trace_thread(field, (int(xs[i]), int(ys[i])), "up").length
+                  for i in rng.integers(0, whites, size=samples))
+    return {"max_len": max_len, "coverage_fraction": (max_len + 1) / whites, "seed": seed}
 

@@ -61,13 +61,6 @@ SCAN_CAP = 1_000_000  # gaps of M that gap_intervals reads before giving up
 class Unstable:
     """Sentinel: the requested value is not certified at this working stage."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "UNSTABLE"
 
@@ -461,25 +454,6 @@ class SpacerDesign:
     heights: tuple[int, ...]
 
 
-def _validate_intervals(intervals: Sequence[tuple[int, int]]) -> None:
-    if not intervals:
-        raise DesignError("no intervals given")
-    prev_b = None
-    prev_len = None
-    for i, (a, b) in enumerate(intervals):
-        if a > b or a < 1:
-            raise DesignError(f"interval {i} is malformed: [{a}, {b}]")
-        if prev_b is not None and a <= prev_b:
-            raise DesignError(
-                f"interval {i} starts at {a}, not beyond previous end {prev_b}"
-            )
-        if prev_len is not None and b - a <= prev_len:
-            raise DesignError(f"interval lengths must increase, bad at index {i}")
-        prev_b = b
-        prev_len = b - a
-    return None
-
-
 def design_spacers(
     intervals: Sequence[tuple[int, int]], h1: int = 1
 ) -> SpacerDesign:
@@ -487,14 +461,27 @@ def design_spacers(
 
     Intervals are consumed in order; one is selected when the spacer needed
     to reach its midpoint is at least the current height (the construction's
-    growth condition), otherwise it is skipped. Raises DesignError when no
+    growth condition), otherwise it is skipped. Raises DesignError at the
+    first interval that is malformed (a > b or a < 1), does not start past
+    the previous end, or is no longer than the previous one, and when no
     interval can be selected.
     """
-    _validate_intervals(intervals)
+    if not intervals:
+        raise DesignError("no intervals given")
     hs = [h1]
     spacers: list[int] = []
     selected: list[int] = []
+    prev_b, prev_len = 0, -1  # a well-formed first interval passes both checks
     for i, (a, b) in enumerate(intervals):
+        if a > b or a < 1:
+            raise DesignError(f"interval {i} is malformed: [{a}, {b}]")
+        if a <= prev_b:
+            raise DesignError(
+                f"interval {i} starts at {a}, not beyond previous end {prev_b}"
+            )
+        if b - a <= prev_len:
+            raise DesignError(f"interval lengths must increase, bad at index {i}")
+        prev_b, prev_len = b, b - a
         mid = (a + b) // 2
         s = mid - 2 * hs[-1]
         if s < hs[-1]:
@@ -528,16 +515,14 @@ def gap_intervals(m_times: Iterable[int], count: int) -> list[tuple[int, int]]:
         prev = next(it)
     except StopIteration:
         raise DesignError("sequence M is empty") from None
-    scanned = 0
-    for cur in it:
-        scanned += 1
+    for scanned, cur in enumerate(it, 1):
         if scanned > SCAN_CAP:
             raise DesignError(f"no {count} usable gaps within scan budget {SCAN_CAP}")
         if cur <= prev:
             raise ValueError("M must be strictly increasing")
         gap = cur - prev - 1
         length = (gap + 1) // 2
-        if length > prev_len and length >= 1:
+        if length > prev_len:
             lo = prev + 1 + (gap - length) // 2
             hi = lo + length - 1
             out.append((lo, hi))

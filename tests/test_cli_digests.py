@@ -31,6 +31,7 @@ PINNED = [
     ("involutions --n 10 --height 2", 1, None),
     ("rankone design --intervals 100:200,1000:1300", 0, "3001d5065ae5a8d4693be06f826d9d3de01bf2797b8c3e7d1babf3e127a859bd"),
     ("rankone design --intervals 100:200,10:20", 1, None),
+    ("rankone design --intervals 100:200,300:250", 1, None),
     ("rankone correlate --intervals 100:200 --A level:5 --n-max 1000", 0, "b25a05c1d09347b8f9f977c28b1ca31f1718e9bb2dbde1c5a270b65bef973092"),
     ("rankone correlate --h1 2 --spacers 3,1,3,5,3 --A 1:1 --n-max 40", 0, "627ba81735c9c8c83617fe0fdba5d902c1bfcf8b6716236c62c8f62b136de694"),
     ("rankone correlate --h1 1 --spacers 1,1 --A 9:0 --n-max 100", 0, "ff420b41e5ff8cbb3a993f60fe353a657981b613d2edea4662e0badc803af3a0"),
@@ -50,10 +51,15 @@ PINNED = [
     ("recurrence average --n 10 --A 1 --N 0", 1, None),
     ("ledrappier sample --n 16 --m 12 --seed 3", 0, "d9e350775defce7a46968cf19c5fe8205c4a6df8b1820f0e2bd18e59e64f1f27"),
     ("ledrappier verify --n 32 --m 32 --seed 1", 0, "3ad578575539c746a5dd39fef47b50fe8ae07226f5c02eb26e8cccb9a6928adb"),
+    ("ledrappier verify --n 8 --m 9 --seed 4", 0, "3e7baf1111c7f483e2878174e8ad1c2c7e31f17d3ff71c3e848da2a9de9e4d08"),
+    ("ledrappier verify --n 9 --m 8 --seed 4", 0, "3e7baf1111c7f483e2878174e8ad1c2c7e31f17d3ff71c3e848da2a9de9e4d08"),
+    ("ledrappier verify --n 9 --m 9 --seed 2", 0, "1fa2ab20532b22fe13c9e49dcd7da83a238f7ce8c2fdf991fd7dd66a27b25c44"),
+    ("ledrappier verify --n 3 --m 2 --seed 0", 0, "8f4f4c034322d49a9d0178fee51daf928e464b361da1b62614e736f5ef406fa8"),
     ("ledrappier trace --n 64 --m 64 --seed 3 --start 5,0 --direction up", 1, None),
     ("ledrappier trace --n 24 --m 24 --seed 2 --start 4,12 --direction right", 0, "86a699b714e57d1adee034a43553f7d1055a840dc285dddcb10e74e2c9907307"),
     ("ledrappier trace --n 64 --m 64 --seed 3 --start 1,0", 0, "49c8b36968670d076d1c476d648e1621b80a4616e8dde3b036825af594ce13ae"),
     ("ledrappier stats --n 64 --m 64 --seed 5 --samples 32", 0, "755b2647002b36d1d83f097b0b8e4acd05c0966c630c30c15eb7bef4ed5a027d"),
+    ("ledrappier stats --n 96 --m 48 --seed 11 --samples 40", 0, "eabf988e0f23ed605be3721f9b8f869e5ff739a0de2e61205d5066ebf0e6edfd"),
     ("ledrappier stats --n 8 --m 8 --seed 1 --samples 0", 1, None),
     ("mosaic generate --w 6 --h 4 --k 2 --seed 1", 0, "7a6527947ac9cb5ee1e7be5eded8200527cf74df12735878a527a69daf64de7e"),
     ("mosaic generate --w 1 --h 1 --k 3 --seed 0", 0, "ba3b4641493e89727797429b49e76ef1ca217b497be0445ccecf9d128d0169a7"),

@@ -274,6 +274,13 @@ def test_pattern_set_input_errors():
     assert f2.cylinder({"": 1, "a": 0}).assignments == frozenset([1])
 
 
+def test_cylinder_reads_values_under_unreduced_keys():
+    assert f2.cylinder({"aAb": 1}) == f2.cylinder({"b": 1})
+    assert f2.cylinder({"Bba": 0, "bBBb": 1}) == f2.cylinder({"": 1, "a": 0})
+    with pytest.raises(ValueError, match="values must be 0 or 1"):
+        f2.cylinder({"aAb": 2})
+
+
 def test_search_matches_the_per_mask_reference_climb(monkeypatch):
     climbs = {}
     batched = f2._climb

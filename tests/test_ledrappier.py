@@ -150,6 +150,20 @@ def test_power_identity_detects_corruption():
     assert any(not led.power_identity_check(broken, k) for k in range(5))
 
 
+def test_power_checks_cover_every_distance_the_grid_holds():
+    rng = np.random.default_rng(29)
+    for m in (2, 3, 4, 5, 8, 9, 16, 17):
+        for width, height in ((m, 33), (33, m)):
+            rows = rng.integers(0, 2, size=(2, width), dtype=np.uint8)
+            f = led.field_from_rows(rows[0], rows[1], height)
+            checks = led.power_checks(f)
+            assert list(checks) == [k for k in range(64) if 2 ** (k + 1) < m], (width, height)
+            assert all(v is True for v in checks.values())
+    broken = led.sample_field(17, 17, 2).cells.copy()
+    broken[8, 8] ^= 1
+    assert False in led.power_checks(led.HarmonicField(broken)).values()
+
+
 def test_xor_of_harmonic_fields_is_harmonic():
     a = led.sample_field(40, 36, 1)
     b = led.sample_field(40, 36, 2)
@@ -276,6 +290,33 @@ def test_statistics_need_at_least_one_sample():
             with pytest.raises(ValueError, match="at least one sample"):
                 led.thread_statistics(f, samples, 3)
     assert led.thread_statistics(zero, 1, 3)["max_len"] == 0
+
+
+def reference_statistics(field, samples, seed):
+    """The first longest of the sampled upward traces, the white count and
+    how many samples reach the longest length."""
+    rng = np.random.default_rng(seed)
+    ys, xs = np.nonzero(field.cells)
+    traces = [led.trace_thread(field, (int(xs[i]), int(ys[i])), "up")
+              for i in rng.integers(0, len(xs), size=samples)]
+    longest = max(t.length for t in traces)
+    best = next(t for t in traces if t.length == longest)
+    return best, len(xs), sum(t.length == longest for t in traces)
+
+
+def test_statistics_match_the_first_longest_trace():
+    ties = 0
+    for width, height in ((64, 64), (96, 48)):
+        for seed in range(10):
+            f = led.sample_field(width, height, seed)
+            best, whites, tied = reference_statistics(f, 40, seed)
+            assert led.thread_statistics(f, 40, seed) == {
+                "max_len": best.length,
+                "coverage_fraction": len(set(best.path)) / whites,
+                "seed": seed,
+            }, (width, height, seed)
+            ties += tied > 1
+    assert ties > 0
 
 
 def test_statistics_reproducible():

@@ -959,6 +959,96 @@ def test_design_spacers_examples():
             r1.design_spacers([(1, 2), bad], 1)
 
 
+def reference_validate_intervals(intervals):
+    """The interval checks that ran before `design_spacers`' selection loop."""
+    if not intervals:
+        raise DesignError("no intervals given")
+    prev_b = None
+    prev_len = None
+    for i, (a, b) in enumerate(intervals):
+        if a > b or a < 1:
+            raise DesignError(f"interval {i} is malformed: [{a}, {b}]")
+        if prev_b is not None and a <= prev_b:
+            raise DesignError(
+                f"interval {i} starts at {a}, not beyond previous end {prev_b}"
+            )
+        if prev_len is not None and b - a <= prev_len:
+            raise DesignError(f"interval lengths must increase, bad at index {i}")
+        prev_b = b
+        prev_len = b - a
+
+
+def reference_selection(intervals, h1):
+    """Indices whose midpoint admits a spacer >= the current height, and the heights."""
+    hs, selected = [h1], []
+    for i, (a, b) in enumerate(intervals):
+        mid = (a + b) // 2
+        if mid - 2 * hs[-1] >= hs[-1]:
+            hs.append(mid)
+            selected.append(i)
+    return selected, hs
+
+
+def _valid(intervals):
+    try:
+        reference_validate_intervals(intervals)
+    except DesignError:
+        return False
+    return True
+
+
+def random_intervals(rng):
+    """Up to six growing, disjoint intervals, each broken with chance 1/8:
+    malformed, overlapping its predecessor or no longer than it."""
+    out, end, length = [], rng.randint(-2, 30), -1
+    for _ in range(rng.randint(0, 6)):
+        a = end + rng.randint(1, 40)
+        b = a + length + rng.randint(1, 60)
+        kind = rng.randrange(8) if out else rng.choice((0, 4))
+        if kind == 1:
+            a, b = b + 1, a
+        elif kind == 2:
+            a = rng.randint(-3, 0)
+        elif kind == 3:
+            a = end - rng.randint(0, 10)
+        elif kind == 4:
+            b = a + rng.randint(0, max(length, 0))
+        out.append((a, b))
+        end, length = b, b - a
+    return out
+
+
+def test_design_spacers_matches_check_then_select():
+    rng = random.Random(2904)
+    seen = set()
+    for _ in range(2000):
+        intervals, h1 = random_intervals(rng), rng.randint(1, 6)
+        try:
+            reference_validate_intervals(intervals)
+        except DesignError as err:
+            with pytest.raises(DesignError) as got:
+                r1.design_spacers(intervals, h1)
+            assert str(got.value) == str(err), intervals
+            bad = next(i for i in range(len(intervals) + 1)
+                       if not _valid(intervals[:i + 1]))
+            if bad > 0:
+                selected, _ = reference_selection(intervals[:bad], h1)
+                seen.add("after selected" if bad - 1 in selected else "after skipped")
+            continue
+        selected, hs = reference_selection(intervals, h1)
+        if not selected:
+            with pytest.raises(DesignError, match="intervals too dense"):
+                r1.design_spacers(intervals, h1)
+            seen.add("dense")
+            continue
+        spacers = tuple(h - 2 * p for p, h in zip(hs, hs[1:]))
+        assert r1.design_spacers(intervals, h1) == r1.SpacerDesign(
+            r1.RankOneSpec(h1, spacers), tuple(selected), tuple(hs)
+        ), intervals
+        seen.add("design")
+    assert seen == {"after selected", "after skipped", "dense", "design"}
+
+
 def test_design_spacers_skips_dense_prefix():
     # first interval is too close to support the growth step, later ones work
     d = r1.design_spacers([(4, 6), (100, 200)], 2)
