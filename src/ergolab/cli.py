@@ -17,7 +17,10 @@ modules return values. Each `_cmd_*` handler returns a writer and its data,
 writer, then the manifest. Three writers produce every file:
   _write_json  json.dumps(sort_keys=True, indent=2) and a newline: every
                JSON output and every manifest; a 1-D int64 array stands
-               for the list of its items (the atom lists of `involutions`);
+               for the list of its items (the atom lists of `involutions`).
+               The document is built as ASCII bytes pieces and written by
+               one writelines once all are built, so a payload json cannot
+               write (TypeError) leaves no file;
   _write_csv   a header line, then one line per row from one "%s,...,%s"
                format string as wide as the header;
   _write_pnm   binary netpbm with maxval 255: P5 (greyscale) from an
@@ -27,6 +30,7 @@ writer, then the manifest. Three writers produce every file:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import sys
@@ -49,6 +53,14 @@ def _write_text(path: str, text: str) -> None:
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder that writes a container of scalars nested `depth` deep
+    as json.dumps(sort_keys=True, indent=2) does, brackets aside: its item
+    separator carries the newline and the indent of the items."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+
+
 def _json_key(key) -> str:
     """A dict key coerced to a string as json does it, after sorting (so
     int keys sort as ints)."""
@@ -61,21 +73,19 @@ def _json_key(key) -> str:
     )
 
 
-def _array_text(a: np.ndarray, pad: str) -> str:
-    """json.dumps(a.tolist(), indent=2) for a 1-D int64 array, nested at
-    indent `pad`; TypeError for any other array, as json.dumps raises.
+def _array_body(a: np.ndarray, sep: bytes) -> bytes | memoryview:
+    """The items of a 1-D int64 array as json writes them, joined by `sep`;
+    TypeError for any other array, as json.dumps raises.
 
     Item i is column i of a byte table: a '-' or NUL sign row, one row per
     decimal place with the leading zeros NUL, then the item separator. The
-    table read column by column with the NULs deleted is the list body.
+    table read column by column with the NULs deleted is the body.
     """
     if a.dtype != np.int64 or a.ndim != 1:
         raise TypeError(f"Object of type ndarray ({a.ndim}-D {a.dtype}) "
                         "is not JSON serializable")
     if not a.size:
-        return "[]"
-    inner = pad + "  "
-    sep = (",\n" + inner).encode("ascii")
+        return b""
     q = np.abs(a).view(np.uint64)  # abs(-2**63) wraps to itself: 2**63 as uint64
     places = len(str(q.max()))
     if places < 10:  # the magnitudes fit uint32, which divides faster
@@ -88,38 +98,57 @@ def _array_text(a: np.ndarray, pad: str) -> str:
         cols[row] += np.uint8(ord("0")) * ((q != 0) | (row == places))
         q = r
     cols[1 + places:] = np.frombuffer(sep, np.uint8)[:, None]
-    body = cols.T.tobytes().translate(None, b"\0")[: -len(sep)]
-    return "[\n" + inner + body.decode("ascii") + "\n" + pad + "]"
+    return memoryview(cols.T.tobytes().translate(None, b"\0"))[: -len(sep)]
 
 
-def _json_text(obj, pad: str = "") -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), nested at indent `pad`.
+def _json_pieces(obj, depth: int, out: list) -> None:
+    """Append json.dumps(obj, sort_keys=True, indent=2), nested `depth`
+    deep, to `out` as ASCII bytes pieces.
 
-    json indents in pure Python. A list of scalars is written instead by
-    one call of the C encoder with the indented item separator, and a 1-D
-    int64 array by `_array_text`.
+    json indents in pure Python. A container whose items are all scalars
+    is written instead by one call of `_encoder(depth)`, and the items of
+    a 1-D int64 array by `_array_body`; only their brackets are added.
     """
+    enc = _encoder(depth)
+    sep = enc.item_separator.encode("ascii")
     if isinstance(obj, np.ndarray):
-        return _array_text(obj, pad)
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return json.dumps(obj)
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        body = sep.join(
-            json.dumps(_json_key(k)) + ": " + _json_text(v, inner)
-            for k, v in sorted(obj.items())
-        )
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
-        body = sep.join(_json_text(v, inner) for v in obj)
+        body = _array_body(obj, sep)
+        if not body:
+            out.append(b"[]")
+            return
+    elif not isinstance(obj, _CONTAINERS) or not obj:
+        out.append(enc.encode(obj).encode("ascii"))
+        return
     else:
-        body = json.dumps(obj, separators=(sep, ": "))[1:-1]
-    return "[\n" + inner + body + "\n" + pad + "]"
+        items = obj.values() if isinstance(obj, dict) else obj
+        nested = any(issubclass(t, _CONTAINERS) for t in set(map(type, items)))
+        body = None if nested else enc.encode(obj)[1:-1].encode("ascii")
+    brackets = b"{}" if isinstance(obj, dict) else b"[]"
+    out.append(brackets[:1] + sep[1:])  # the bracket, then the first item's indent
+    if body is not None:
+        out.append(body)
+    elif isinstance(obj, dict):
+        for i, (k, v) in enumerate(sorted(obj.items())):
+            if i:
+                out.append(sep)
+            out.append(json.dumps(_json_key(k)).encode("ascii") + b": ")
+            _json_pieces(v, depth + 1, out)
+    else:
+        for i, v in enumerate(obj):
+            if i:
+                out.append(sep)
+            _json_pieces(v, depth + 1, out)
+    out.append(b"\n" + b"  " * depth + brackets[1:])
 
 
 def _write_json(path: str, payload) -> None:
-    _write_text(path, _json_text(payload) + "\n")
+    """The bytes of json.dumps(payload, sort_keys=True, indent=2) and a
+    newline, written once all are built, so a TypeError writes no file."""
+    pieces: list = []
+    _json_pieces(payload, 0, pieces)
+    pieces.append(b"\n")
+    with open(path, "wb") as fh:
+        fh.writelines(pieces)
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:

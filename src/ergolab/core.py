@@ -150,14 +150,26 @@ class Tower:
 
 
 def validate_tower(sys: FinitePermutationSystem, tower: Tower) -> bool:
-    """Levels and residual are pairwise disjoint and cover all atoms."""
-    cover = np.zeros(sys.n, dtype=np.int64)
-    level = tower.base.atoms
-    for _ in range(tower.height):
-        cover[level] += 1  # a level is a set, so its indices are distinct
-        level = sys.map[level]
-    cover[tower.residual.atoms] += 1
-    return bool((cover == 1).all())
+    """Levels and residual are pairwise disjoint and cover all atoms.
+
+    A partition counts each atom once, so the levels and the residual must
+    hold n atoms in all (a height below 1 has no levels); given that count,
+    they cover every atom exactly when they are disjoint. The levels are
+    gathered one per numpy call and marked on one boolean cover. ValueError
+    when the tower's sets belong to a system of another size.
+    """
+    n, h = sys.n, tower.height
+    if tower.base.n != n or tower.residual.n != n:
+        raise ValueError("tower belongs to a different system")
+    base, residual = tower.base.atoms, tower.residual.atoms
+    if max(h, 0) * base.size + residual.size != n:
+        return False
+    levels = [residual, base]  # with h < 1, the count left only a full residual
+    for _ in range(h - 1):
+        levels.append(sys.map[levels[-1]])
+    cover = np.zeros(n, dtype=bool)
+    cover[np.concatenate(levels)] = True
+    return bool(cover.all())
 
 
 def _tower(order: np.ndarray, h: int, roof: Sequence[int]) -> Tower:

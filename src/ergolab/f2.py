@@ -181,14 +181,18 @@ def verify_rokhlin_family(b: CylinderPatternSet) -> RokhlinCertificate:
     return RokhlinCertificate(b, verdict, b.measure)
 
 
-def _family_projection(window: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and tags that project window bit rows onto the 20 constraint sides.
+def _family_projection(window: tuple[str, ...]):
+    """Weights, tags and byte tables that project window bit rows onto the
+    20 constraint sides.
 
     For the j-th pair (g, h) of FAMILY, column j reads the g side and column
     10 + j the h side: the window words whose g- (or h-) translate lies in the
     overlap gW & hW, one bit per overlap word in shortlex order. Both sides
     carry the tag j << len(window), so a key names its constraint as well as
     its overlap values, and one set of keys per side serves all ten pairs.
+    Table b has a row for each value v of a mask's byte b: the weights of
+    v's set bits summed, plus the tags in table 0, so a mask's keys are one
+    row of each table summed.
     """
     pairs = list(combinations(FAMILY, 2))
     weights = np.zeros((len(window), 2 * len(pairs)), dtype=np.int64)
@@ -200,21 +204,28 @@ def _family_projection(window: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]
             weights[gw[w], j] = 1 << pos
             weights[hw[w], len(pairs) + j] = 1 << pos
     tags = np.tile(np.arange(len(pairs), dtype=np.int64) << len(window), 2)
-    return weights, tags
+    tables = []
+    for lo in range(0, len(window), 8):
+        rows = weights[lo:lo + 8]
+        bits = np.arange(1 << len(rows))[:, None] >> np.arange(len(rows)) & 1
+        tables.append(bits @ rows)
+    tables[0] += tags
+    return weights, tags, tables
 
 
 def _side_keys(projection, masks: list[int]):
     """Masks that avoid their own translates, with their g-side and h-side keys.
 
-    One batch: the masks' bit matrix times the projection weights gives every
+    One batch: one byte-table row per byte of each mask, summed, gives every
     side's overlap value. A mask whose two sides agree on some pair meets its
     own translate, whatever else is in the set, so it is dropped here.
     """
-    weights, tags = projection
+    tables = projection[2]
     arr = np.array(masks, dtype=np.int64)
-    bits = arr[:, None] >> np.arange(len(weights), dtype=np.int64) & 1
-    keys = bits @ weights + tags
-    half = len(tags) // 2
+    keys = tables[0][arr & 255]
+    for b, table in enumerate(tables[1:], 1):
+        keys += table[arr >> 8 * b & 255]
+    half = keys.shape[1] // 2
     g_keys, h_keys = keys[:, :half], keys[:, half:]
     fine = (g_keys != h_keys).all(axis=1)
     return arr[fine].tolist(), g_keys[fine].tolist(), h_keys[fine].tolist()

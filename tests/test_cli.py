@@ -558,7 +558,7 @@ def test_json_writer_matches_json_dumps_on_every_payload(tmp_path, monkeypatch):
     assert len(written) == len(manifests) + len(json_runs)
 
 
-def test_json_writer_matches_json_dumps_on_synthetic_payloads():
+def test_json_writer_matches_json_dumps_on_synthetic_payloads(tmp_path):
     payloads = [
         {10: "ten", 2: "two", -1: None, 0: True},  # int keys sort numerically
         {1.5: [], 0.25: {}, float("inf"): (), True: 0},
@@ -589,8 +589,10 @@ def test_json_writer_matches_json_dumps_on_synthetic_payloads():
         [arrays[0], arrays[2], 4, [arrays[-1]], {"a": arrays[13]}],
         (arrays[15], "x", None),
     ]
-    for payload in payloads:
-        assert cli._json_text(payload) + "\n" == reference_json(payload), payload
+    for i, payload in enumerate(payloads):
+        path = tmp_path / f"{i}.json"
+        cli._write_json(str(path), payload)
+        assert path.read_bytes() == reference_json(payload).encode("ascii"), payload
     bad_arrays = [
         np.array([True, False]),
         np.array([1.0, 2.5]),
@@ -599,12 +601,16 @@ def test_json_writer_matches_json_dumps_on_synthetic_payloads():
         np.array([1, "a"], dtype=object),
         np.arange(4, dtype=np.int32),
     ]
-    for bad in ({(1, 2): 0}, {"a": 1, 2: 3}, [object()], *bad_arrays,
-                {"a": bad_arrays[0]}, [1, bad_arrays[2]]):
+    bad_payloads = [{(1, 2): 0}, {"a": 1, 2: 3}, [object()], *bad_arrays,
+                    np.array([], dtype=np.float64), {"a": bad_arrays[0]},
+                    [1, bad_arrays[2]], {"z": [1, 2], "a": {"k": object()}}]
+    for i, bad in enumerate(bad_payloads):
         with pytest.raises(TypeError):
             json.dumps(bad, sort_keys=True, indent=2)
+        path = tmp_path / f"bad{i}.json"
         with pytest.raises(TypeError):
-            cli._json_text(bad)
+            cli._write_json(str(path), bad)
+        assert not path.exists(), bad
 
 
 def test_csv_writer_matches_a_join_of_str_per_row(tmp_path, monkeypatch):

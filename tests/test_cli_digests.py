@@ -13,11 +13,16 @@ import pytest
 
 from ergolab.cli import main
 
+# every atom of the 3999-cycle may hold the roof: a 1999-position chain
+DEEP_Y = ",".join(map(str, range(3999)))
+
 PINNED = [
     ("tower --n 12 --h 11", 0, "87e6a011b276d41e1834bf9fd38fdadb9e741d3ea84eecd3790408669f8f8d4f"),
     ("tower --n 100 --h 7", 0, "6dc37c43646a154f5d8d1de2e975e55799ced91af5bed8c8adc874a704a9c6b9"),
     ("tower --n 8 --h 3 --y 0,4", 0, "f37e218c550dc20998df0b65e65e3a7681de9a3d7072b31588ccfbc00a4304cd"),
     ("tower --n 30 --h 4 --y 1,2,5,9,17", 0, "747b7dde3827bd5c198fb05ad4bf704f2f76a6af87cd0f3273534e76285e90a0"),
+    ("tower --n 640 --h 300", 0, "e47ca094b717ae7ae7b09fec3146488e6f17eefd2efbea16c8fe7464f5b799a4"),
+    ("tower --n 3999 --h 2000 --y " + DEEP_Y, 0, "5b5ee9be5d955d96537ee3d9678a1a349a0a6c542d07b779d7f45bd90d61cd98"),
     ("tower --n 8 --h 3 --y 0", 1, None),
     ("tower --n 5 --h 9", 1, None),
     ("involutions --n 1", 0, "a08f78f0f45c739ffa9e2ac882879272bba7809b5e18676a0f49e708ff5e4467"),
@@ -74,11 +79,12 @@ PINNED = [
     ("f2 verify --radius 3", 1, None),
     ("f2 verify --radius 4", 1, None),
     ("f2 search --budget 400 --seed 7", 0, "c1a5a7452857082250f7cb0c5a65db0ceb6ebc55b2f866669db35ab190f0a090"),
+    ("f2 search --budget 3000 --seed 11", 0, "6a113e2c628f28ecc46340daff448df12b5af6667b076246456d102a181cd6cd"),
     ("f2 search --radius 1 --budget 10 --seed 0", 1, None),
 ]
 
 
-@pytest.mark.parametrize("argv, code, digest", PINNED, ids=[p[0] for p in PINNED])
+@pytest.mark.parametrize("argv, code, digest", PINNED, ids=[p[0].replace(DEEP_Y, "0,...,3998") for p in PINNED])
 def test_cli_output_bytes_are_pinned(tmp_path, capsys, argv, code, digest):
     out = tmp_path / "out"
     assert main(argv.split() + ["--out", str(out)]) == code

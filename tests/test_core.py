@@ -200,6 +200,80 @@ def test_tower_disjoint_cover_property(n, seed, data):
     assert len(seen) + len(t.residual) == n
 
 
+def cover_oracle(p, base, height, residual):
+    """Each atom lies in exactly one of the levels T^k base (0 <= k < height)
+    and the residual: the brute-force set cover, one atom at a time."""
+    counts = [0] * len(p)
+    for a in residual:
+        counts[a] += 1
+    for a in base:
+        for _ in range(height):
+            counts[a] += 1
+            a = p[a]
+    return all(c == 1 for c in counts)
+
+
+def test_validate_tower_rejects_overlaps_that_keep_the_count():
+    # each case holds n atoms in all, so only the cover can fail
+    cases = [
+        (FinitePermutationSystem.cycle(4), [0, 1], 2, []),  # levels {0, 1}, {1, 2}
+        (FinitePermutationSystem.cycle(4), [0], 2, [1, 3]),  # residual meets level 1
+        (FinitePermutationSystem([1, 0, 3, 2]), [0, 1], 2, []),  # two 2-cycles
+    ]
+    for sys_, base, h, residual in cases:
+        t = core.Tower(sys_.subset(base), h, sys_.subset(residual))
+        assert h * len(base) + len(residual) == sys_.n
+        assert not cover_oracle(sys_.map.tolist(), base, h, residual)
+        assert not core.validate_tower(sys_, t), (base, h, residual)
+
+
+def test_validate_tower_below_height_one_needs_the_residual_to_be_every_atom():
+    sys_ = FinitePermutationSystem.cycle(5)
+    for h in (0, -1, -3):
+        for base in ([], [0, 1]):
+            every = core.Tower(sys_.subset(base), h, sys_.subset(range(5)))
+            assert core.validate_tower(sys_, every)
+            short = core.Tower(sys_.subset(base), h, sys_.subset(range(4)))
+            assert not core.validate_tower(sys_, short)
+
+
+def test_validate_tower_matches_the_cover_oracle():
+    rng = np.random.default_rng(30)
+    verdicts = set()
+    for trial in range(600):
+        n = int(rng.integers(1, 9))
+        if trial % 2:  # valid Rokhlin towers, some of them perturbed
+            sys_ = FinitePermutationSystem.random_cycle(n, trial)
+            t = core.rokhlin_tower(sys_, int(rng.integers(1, n + 1)))
+            base, h, residual = t.base.atoms.tolist(), t.height, t.residual.atoms.tolist()
+            if rng.random() < 0.5:
+                a = int(rng.integers(n))
+                residual = sorted(set(residual) ^ {a})
+            if rng.random() < 0.3:
+                h += int(rng.choice([-1, 1]))
+        else:
+            sys_ = FinitePermutationSystem(rng.permutation(n))
+            base = np.flatnonzero(rng.random(n) < 0.4).tolist()
+            residual = np.flatnonzero(rng.random(n) < 0.4).tolist()
+            h = int(rng.integers(-1, n + 2))
+        t = core.Tower(sys_.subset(base), h, sys_.subset(residual))
+        want = cover_oracle(sys_.map.tolist(), base, h, residual)
+        assert core.validate_tower(sys_, t) == want, (sys_.map.tolist(), base, h, residual)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_validate_tower_refuses_a_tower_of_another_system():
+    sys_ = FinitePermutationSystem.cycle(6)
+    for other in (12, 4):
+        t = core.rokhlin_tower(FinitePermutationSystem.cycle(other), 3)
+        with pytest.raises(ValueError, match="different system"):
+            core.validate_tower(sys_, t)
+    mixed = core.Tower(sys_.subset([0, 3]), 3, core.AtomSet([], 7))
+    with pytest.raises(ValueError, match="different system"):
+        core.validate_tower(sys_, mixed)
+
+
 def test_atom_set_measure_is_computed():
     s = core.AtomSet(frozenset([0, 2, 4]), 12)
     assert s.measure == Fraction(1, 4)

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ergolab import cli, f2
@@ -395,6 +396,25 @@ def test_self_overlap_filter_matches_single_mask_verification():
     ]
     assert kept == verified
     assert 0 < len(kept) < len(masks)
+
+
+def test_side_keys_match_the_bit_matrix_product():
+    """The byte-table keys against each mask's bit row times the projection
+    weights, plus the tags."""
+    for radius, seed in ((1, 3), (2, 4), (2, 5)):
+        window = f2.ball(radius)
+        projection = f2._family_projection(window)
+        weights, tags, _ = projection
+        rng = random.Random(seed)
+        masks = [rng.randrange(1 << len(window)) for _ in range(400)]
+        arr = np.array(masks, dtype=np.int64)
+        keys = (arr[:, None] >> np.arange(len(window)) & 1) @ weights + tags
+        fine = (keys[:, :10] != keys[:, 10:]).all(axis=1)
+        kept, g_keys, h_keys = f2._side_keys(projection, masks)
+        assert kept == arr[fine].tolist()
+        assert g_keys == keys[fine, :10].tolist()
+        assert h_keys == keys[fine, 10:].tolist()
+        assert (0 < len(kept) < len(masks)) == (radius == 2)
 
 
 def test_search_never_draws_the_budget_remainder():
