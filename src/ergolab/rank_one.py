@@ -33,6 +33,16 @@ a near step's middle gap h_j - span is at most n_max, so no clamp
 touches it. It stores values only through min(span, n_max) for the grown
 set's span; every later time reads one shared zero.
 
+The counts of the grown set cost one array pass per near step over its
+span, or its size squared when its pairs are counted directly because it
+is small next to that span. The recursion starts from A's own counts over
+A's span L: one exact integer product (Kronecker substitution: A's
+indicator packed into an int at |A|.bit_length() bits per level, times the
+same packing reversed) when A holds at least 128 levels and fills at least
+a quarter of L, and A's |A|^2 pairs otherwise. No count exceeds D(0) =
+|A| < 2^(|A|.bit_length()), so no slot of the product carries into the
+next; it uses no float.
+
 A query has one certificate: no level of A lies within n of the working
 tower's top, so every orbit segment of length n stays inside it. Values
 without it are flagged Unstable rather than approximated. Equal values at
@@ -273,7 +283,11 @@ def correlation_series(
     It is built from A's own levels, as offsets over gaps clamped at
     n_max + 1, by D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|) on an int64 array
     as long as the difference span; when the grown set is small next to
-    that span, its pairs are counted directly instead. Growth stops at the
+    that span, its pairs are counted directly instead. The recursion's
+    first counts, those of the offsets themselves, are one exact integer
+    product when the offsets are at least 128 levels filling at least a
+    quarter of their span, and their pairs otherwise (see
+    `_grown_differences`). Growth stops at the
     first far step (see `_near_steps`): the later steps only double D on
     [0, n_max], and the doublings are folded into the denominator. Counts
     are at most the grown set's size, so int64 is exact for any array that
@@ -354,15 +368,57 @@ def _pair_differences(s: np.ndarray, length: int) -> np.ndarray:
     return counts
 
 
+# a base set of at least this many levels, filling at least 1/_PRODUCT_FILL
+# of its span, counts its differences by one integer product
+_PRODUCT_LEVELS = 128
+_PRODUCT_FILL = 4
+
+
+def _product_differences(s: np.ndarray, width: int) -> np.ndarray:
+    """counts[d] = #{(l, m) in S x S : m - l = d} for 0 <= d < L, over the
+    sorted distinct levels `s` spanning L levels, from one exact integer
+    product (Kronecker substitution). S's 0/1 indicator x over its span is
+    packed into an int at `width` bits per slot, x_i in slot i; times the
+    same packing reversed, x_{L-1-j} in slot j, slot k of the product sums
+    x_i x_m over m - i = L - 1 - k, so D(d) is read from slot L - 1 - d.
+    Every slot sums at most |S| products of 0/1 digits, so with width =
+    |S|.bit_length() no slot carries into the next one and the counts are
+    exact; one bit fewer cannot hold D(0) = |S|, so slot L - 1 carries."""
+    length = int(s[-1] - s[0]) + 1
+    bits = np.zeros((length, width), dtype=np.uint8)
+    bits[s - s[0], 0] = 1
+    x, y = (
+        int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little")
+        for b in (bits, bits[::-1])
+    )
+    low = (x * y) & ((1 << length * width) - 1)  # slots 0..L-1
+    slots = np.unpackbits(
+        np.frombuffer(low.to_bytes(-(-length * width // 8), "little"), dtype=np.uint8),
+        count=length * width,
+        bitorder="little",
+    ).reshape(length, width)
+    return (slots @ (1 << np.arange(width)))[::-1]
+
+
 def _grown_differences(s: np.ndarray, steps: Sequence[int], n_max: int) -> np.ndarray:
     """Difference counts, at least those for d <= n_max, of the set grown
     from the sorted levels `s` by S -> S + (S + h) for each height h in
     `steps`. The recursion costs one array pass per step over the span of
     the grown set; counting the grown set's pairs costs its size squared,
-    and is used when that is the smaller."""
+    and is used when that is the smaller. The recursion's base counts come
+    from one integer product when S holds at least _PRODUCT_LEVELS levels
+    and fills at least 1/_PRODUCT_FILL of its span L (one product of two
+    L * |S|.bit_length()-bit ints, against |S|^2 differences made in
+    blocks), and from S's pairs otherwise: at density 1/4 the product
+    wins from about 96 levels, and on a sparse set, 5,000 levels over
+    10^5, the pairs are faster."""
     span = int(s[-1] - s[0]) + sum(steps)
     if span <= (len(s) << len(steps)) ** 2:
-        d = _pair_differences(s, int(s[-1] - s[0]) + 1)
+        length = int(s[-1] - s[0]) + 1
+        if len(s) >= _PRODUCT_LEVELS and _PRODUCT_FILL * len(s) >= length:
+            d = _product_differences(s, len(s).bit_length())
+        else:
+            d = _pair_differences(s, length)
         for h in steps:
             # S and S + h are disjoint and S lies in [0, h), so h > span
             grown = np.zeros(len(d) + h, dtype=np.int64)

@@ -648,3 +648,10 @@ def test_csv_writer_matches_a_join_of_str_per_row(tmp_path, monkeypatch):
     assert len(written) == len(csv_runs)
     entropy = (tmp_path / "6.csv").read_text().splitlines()
     assert entropy[0] == "w,h,entropy_per_site" and "." in entropy[1].split(",")[2]
+
+
+def test_mosaic_count_takes_the_default_adjacency_when_given(tmp_path):
+    base = ["mosaic", "count", "--w", "5", "--h", "5", "--k", "2"]
+    assert main(base + ["--out", str(tmp_path / "default")]) == 0
+    assert main(base + ["--adjacency", "8", "--out", str(tmp_path / "eight")]) == 0
+    assert (tmp_path / "eight").read_bytes() == (tmp_path / "default").read_bytes()

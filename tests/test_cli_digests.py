@@ -15,6 +15,9 @@ from ergolab.cli import main
 
 # every atom of the 3999-cycle may hold the roof: a 1999-position chain
 DEEP_Y = ",".join(map(str, range(3999)))
+# dense rank-one sets: 384 levels at density 1/4, and every level of the span
+QUARTER_A = ",".join(map(str, range(0, 1536, 4)))
+EVERY_A = ",".join(map(str, range(256)))
 
 PINNED = [
     ("tower --n 12 --h 11", 0, "87e6a011b276d41e1834bf9fd38fdadb9e741d3ea84eecd3790408669f8f8d4f"),
@@ -42,6 +45,8 @@ PINNED = [
     ("rankone correlate --h1 1 --spacers 1,1 --A 9:0 --n-max 100", 0, "ff420b41e5ff8cbb3a993f60fe353a657981b613d2edea4662e0badc803af3a0"),
     ("rankone correlate --h1 1 --spacers auto --intervals 100:200,1000:2000,10000:20000 --A 2:0,7,100 --n-max 100000", 0, "f22a2aee0bca1f1e77602221497c66224af524b52cccb489af5134afb1ecfcb6"),
     ("rankone correlate --h1 1 --spacers auto --intervals 100:200,1000:2000,10000:20000,100000:200000,1000000:2000000 --A 2:0,7,100 --n-max 100000", 0, "9f0866861427d76d3135685b7ccfe6841f9f15243af77b36aedd7680f9689141"),
+    ("rankone correlate --h1 1536 --spacers 1536 --A 1:" + QUARTER_A + " --n-max 3000", 0, "23d924d22f4b00654d494d3f5139ab4525513b1f6912a1b0988c9f7a371d843f"),
+    ("rankone correlate --h1 256 --spacers 0 --A 1:" + EVERY_A + " --n-max 600", 0, "33fd17a5781df0766ce6f67737f51b3c6d13c39ee236f2f7e274f793f6408d8e"),
     ("rankone correlate --h1 1 --spacers 1,1 --A level:999 --n-max 5", 1, None),
     ("rankone decompose --intervals 100:200,1000:1300 --times=-3,150,2400,7", 0, "f6588a969bc27af1763cde1a715430927ddd11bde9d2f18421a4d16cb33ca50b"),
     ("rankone decompose --spacers 1,1,3 --times 9,40 --mu-num 1 --mu-den 2 --remainder-cap 2", 0, "26564b725c648a19a71b91a80e531ac677b44f858de082db74ad0a2c68da0f8b"),
@@ -84,7 +89,13 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, digest", PINNED, ids=[p[0].replace(DEEP_Y, "0,...,3998") for p in PINNED])
+def _short(argv):
+    for full, short in ((DEEP_Y, "0,...,3998"), (QUARTER_A, "0,4,...,1532"), (EVERY_A, "0,...,255")):
+        argv = argv.replace(full, short)
+    return argv
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED, ids=[_short(p[0]) for p in PINNED])
 def test_cli_output_bytes_are_pinned(tmp_path, capsys, argv, code, digest):
     out = tmp_path / "out"
     assert main(argv.split() + ["--out", str(out)]) == code

@@ -168,6 +168,17 @@ def test_factor_random_cycles_sample():
         assert factor_three_involutions(sys_).verify(sys_.map), n
 
 
+def test_factor_default_height_is_eleven():
+    sys_ = FinitePermutationSystem.random_cycle(1000, 31)
+    default = factor_three_involutions(sys_)
+    eleven = factor_three_involutions(sys_, 11)
+    for name in ("s1", "s2", "s3"):
+        assert np.array_equal(getattr(default, name), getattr(eleven, name)), name
+    # a default of 12 would give other tables
+    other = factor_three_involutions(sys_, 12)
+    assert not np.array_equal(default.s1, other.s1)
+
+
 def test_factor_custom_height():
     sys_ = FinitePermutationSystem.cycle(100)
     for height in (3, 5, 7, 23):

@@ -127,6 +127,15 @@ def test_flip_breaks_harmonicity():
     assert not led.verify_harmonicity(led.HarmonicField(cells))
 
 
+def test_flip_breaks_harmonicity_at_height_three():
+    # the one interior row of a height-3 field is checked too
+    f = led.field_from_rows([1, 0, 1, 1, 0, 0, 1, 0], [0, 1, 1, 0, 1, 0, 0, 1], 3)
+    assert f.height == 3 and led.verify_harmonicity(f)
+    cells = f.cells.copy()
+    cells[1, 4] ^= 1
+    assert not led.verify_harmonicity(led.HarmonicField(cells))
+
+
 def test_no_interior_rows_is_vacuous():
     f = led.field_from_rows([1, 0, 1], [0, 1, 1], 2)
     assert led.verify_harmonicity(f)

@@ -156,6 +156,35 @@ def test_validator_rejects_corruption():
     assert not mo.validate_mosaic(mo.Mosaic(3, 2, 2, ((0, 0, 1), (0, 0, 1))))
 
 
+def test_validator_rejects_a_tile_past_the_bottom_edge():
+    # the last red block starts on the bottom row of a 2-by-3 board
+    tile = ((0, 0), (0, 0))
+    assert mo.validate_mosaic(mo.Mosaic(2, 2, 2, tile))
+    assert not mo.validate_mosaic(mo.Mosaic(2, 3, 2, tile + ((1, 1),)))
+
+
+def test_validator_rejects_touching_blues_on_a_3x3_board():
+    # two blues touching down, across and diagonally, in both adjacencies
+    for pair in (((1, 0), (1, 1)), ((0, 1), (1, 1)), ((0, 0), (1, 1)), ((2, 1), (1, 2))):
+        rows = [[0] * 3 for _ in range(3)]
+        for x, y in pair:
+            rows[y][x] = BLUE
+        cells = tuple(tuple(r) for r in rows)
+        for adjacency in (4, 8):
+            assert not mo.validate_mosaic(mo.Mosaic(3, 3, 2, cells, adjacency)), (pair, adjacency)
+    # seven reds never form 2-by-2 blocks, so the block check rejects those
+    # boards too; here the reds are one block and only the blues decide
+    l_shape = ((0, 0, BLUE), (0, 0, BLUE), (BLUE, BLUE, BLUE))
+    for adjacency in (4, 8):
+        assert not mo.validate_mosaic(mo.Mosaic(3, 3, 2, l_shape, adjacency)), adjacency
+
+
+def test_validator_rejects_touching_blues_in_a_column():
+    # both blues in column 0: neither sees the other unless column 0 counts
+    for adjacency in (4, 8):
+        assert not mo.validate_mosaic(mo.Mosaic(1, 2, 2, ((BLUE,), (BLUE,)), adjacency))
+
+
 def test_entropy_profile_k3_non_increasing_on_doublings():
     rows = mo.entropy_profile([(3, 3), (6, 6), (12, 12)], 3)
     values = [e for _, _, e in rows]

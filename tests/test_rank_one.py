@@ -245,6 +245,26 @@ def test_long_series_holds_no_object_per_time():
     assert grown <= 1000, grown
 
 
+def grown_difference_counts(levels, steps):
+    """{d: D(d)} over the nonzero counts of the set grown from `levels` by
+    S -> S + (S + h) for each h in `steps`: a loop over A's own pairs, then
+    D_{j+1}(d) = 2*D_j(d) + D_j(|d - h_j|) one step at a time. S lies in
+    [0, h_j) up to a shift, so every nonzero D_j(e) has e < h_j, and
+    D_j(|d - h_j|) is nonzero only at d = h_j - e and d = h_j + e."""
+    d = {}
+    for l in levels:
+        for m in levels:
+            if m >= l:
+                d[m - l] = d.get(m - l, 0) + 1
+    for h in steps:
+        grown = {e: 2 * c for e, c in d.items()}
+        for e, c in d.items():
+            for f in {h - e, h + e}:
+                grown[f] = grown.get(f, 0) + c
+        d = grown
+    return d
+
+
 def reference_values(spec, a, n_max):
     """The series' values by another route: counts grown from A's own
     levels over every step to the working stage, far ones included,
@@ -252,13 +272,10 @@ def reference_values(spec, a, n_max):
     distinct count and a Python call per time to pick each shared value."""
     stage = r1.min_exact_stage(spec, a, n_max)
     counts = np.zeros(n_max + 1, dtype=np.int64)
-    if a.levels:
-        d = r1._grown_differences(
-            np.array(sorted(a.levels), dtype=np.int64),
-            r1.heights(spec, stage)[a.stage - 1 : -1],
-            n_max,
-        )[: n_max + 1]
-        counts[: len(d)] = d
+    grown = grown_difference_counts(a.levels, r1.heights(spec, stage)[a.stage - 1 : -1])
+    for d, c in grown.items():
+        if d <= n_max:
+            counts[d] = c
     distinct = np.unique(counts)
     w = r1.level_width(stage)
     shared = [c * w for c in distinct.tolist()]
@@ -288,11 +305,15 @@ def benchmark_series_cases():
 
 
 def test_series_matches_the_unique_and_product_reference(monkeypatch):
-    pair_sizes = []
-    real = r1._pair_differences
+    pair_sizes, product_sizes = [], []
+    real, real_product = r1._pair_differences, r1._product_differences
     monkeypatch.setattr(
         r1, "_pair_differences",
         lambda s, length: pair_sizes.append(len(s)) or real(s, length),
+    )
+    monkeypatch.setattr(
+        r1, "_product_differences",
+        lambda s, width: product_sizes.append(len(s)) or real_product(s, width),
     )
     cases = list(benchmark_series_cases()) + [
         ("empty A", geometric_spec(6), r1.LevelSet(3, frozenset()), 40),
@@ -323,7 +344,14 @@ def test_series_matches_the_unique_and_product_reference(monkeypatch):
     covered = set()
     for name, spec, a, n_max in cases:
         pair_sizes.clear()
+        product_sizes.clear()
         got = r1.correlation_series(spec, a, n_max)
+        # the dense decades base (384 levels over 1500) takes the product,
+        # the sparse squares and geometric bases take their pairs
+        if name == "decades":
+            assert product_sizes == [384] and pair_sizes == [], name
+        if name in ("squares", "geometric"):
+            assert product_sizes == [] and pair_sizes == [len(a.levels)], name
         if pair_sizes and len(a.levels) > 1:
             covered.add("pairs" if pair_sizes[0] > len(a.levels) else "recursion")
         values = [v for _, v in got.entries]
@@ -350,6 +378,70 @@ def test_series_matches_the_unique_and_product_reference(monkeypatch):
                     break
                 span += h
     assert covered == {"pairs", "recursion", "far step", "clamped"}
+
+
+def dense_sets(rng):
+    """(size, fill, levels) for seeded sets at the slot-width changes, each
+    holding `size` levels over a span of size / fill, from a least level
+    that is not 0; a fill of 1 is every level of the span."""
+    for size in (127, 128, 255, 256, 511, 512):
+        for fill in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
+            span = int(size / fill)
+            low = rng.randint(1, 10**6)
+            inner = rng.sample(range(1, span - 1), size - 2)
+            yield size, fill, np.array(sorted([0, span - 1, *inner]), dtype=np.int64) + low
+
+
+def test_product_counts_equal_the_pair_counts():
+    for size, fill, s in dense_sets(random.Random(3101)):
+        length = int(s[-1] - s[0]) + 1
+        pairs = r1._pair_differences(s, length)
+        got = r1._product_differences(s, size.bit_length())
+        assert got.dtype == np.int64 and got.tolist() == pairs.tolist(), (size, fill)
+        assert got[0] == size, (size, fill)
+        if fill == 1:
+            assert got.tolist() == list(range(length, 0, -1)), size
+
+
+def test_a_narrower_slot_carries_and_disagrees():
+    # D(0) = |S| needs |S|.bit_length() bits: one fewer carries it out of
+    # slot L - 1, so the equality above is a check that can fail
+    for k in (7, 8, 9):
+        s = np.arange(2**k, dtype=np.int64) * 2 + 5
+        pairs = r1._pair_differences(s, len(s) * 2 - 1)
+        assert r1._product_differences(s, k + 1).tolist() == pairs.tolist(), k
+        narrow = r1._product_differences(s, k)
+        assert narrow.tolist() != pairs.tolist(), k
+        assert narrow[0] != 2**k, k
+
+
+def test_base_counts_take_the_product_on_dense_sets_only(monkeypatch):
+    taken = []
+    pairs, product = r1._pair_differences, r1._product_differences
+    monkeypatch.setattr(
+        r1, "_pair_differences",
+        lambda s, length: taken.append("pairs") or pairs(s, length),
+    )
+    monkeypatch.setattr(
+        r1, "_product_differences",
+        lambda s, width: taken.append("product") or product(s, width),
+    )
+    rng = random.Random(3102)
+    # (levels, span): the rule's edges at 128 levels and a quarter of the
+    # span, and a sparse set of 5000 levels over 10^5
+    cases = [
+        (127, 127, "pairs"), (128, 512, "product"), (128, 513, "pairs"),
+        (384, 1500, "product"), (512, 512, "product"), (5000, 10**5, "pairs"),
+    ]
+    for size, span, route in cases:
+        s = np.array(sorted([0, span - 1, *rng.sample(range(1, span - 1), size - 2)]), dtype=np.int64)
+        taken.clear()
+        got = r1._grown_differences(s, [span], span)
+        assert taken == [route], (size, span)
+        if size > 512:
+            continue  # 12.5 million pairs are too many for a Python loop
+        expected = grown_difference_counts(s.tolist(), [span])
+        assert got.tolist() == [expected.get(d, 0) for d in range(len(got))], (size, span)
 
 
 def test_sparse_series_matches_pointwise_queries(monkeypatch):
