@@ -15,6 +15,11 @@ A system lists its map's cycles through `cycles()` (see `perms.cycles`).
 pipeline that cycle in walk order from atom 0. The cycle constructors keep
 the order they build the map from as the listing; a caller-given map is
 walked once, on first use, and the listing is kept.
+
+Only `_from_walk`, behind the cycle constructors, passes `_cycles` to the
+constructor: its map is a bijection by construction, so it is frozen in
+place and not checked again. Every system, built or given, still passes
+through `__post_init__`, the one place a system's map is settled.
 """
 
 from __future__ import annotations
@@ -34,16 +39,24 @@ class FinitePermutationSystem:
     """n atoms of mass 1/n permuted by a bijection `map`.
 
     `map` is a read-only int64 array (see `perms`); any sequence of atom
-    indices is accepted and converted once. Equality is identity.
+    indices is accepted, checked and copied once. Equality is identity.
+
+    `_cycles` is private and keyword-only: `_from_walk` passes the cycle
+    listing it built the int64 map from, and the map is then frozen in place
+    without the check. A caller's map comes without it and is walked on
+    first use.
     """
 
     map: np.ndarray
     _cycles: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False
+        default=None, repr=False, kw_only=True
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "map", perms.as_permutation(self.map))
+        if self._cycles is None:
+            object.__setattr__(self, "map", perms.as_permutation(self.map))
+        else:
+            perms._frozen(self.map)
 
     @property
     def n(self) -> int:
@@ -71,15 +84,16 @@ class FinitePermutationSystem:
     @staticmethod
     def _from_walk(order: np.ndarray) -> "FinitePermutationSystem":
         """The single cycle stepping along `order`, an int64 array holding
-        every atom once and starting at atom 0, which it keeps as its one cycle."""
+        every atom once and starting at atom 0, which it keeps as its one cycle.
+
+        The map it scatters from `order` is a bijection by construction, so it
+        goes in with `_cycles` and `__post_init__` only freezes it."""
         p = np.empty(order.size, dtype=np.int64)
         p[order[:-1]] = order[1:]
         p[order[-1]] = order[0]
-        system = FinitePermutationSystem(p)
         lengths = np.array([order.size], dtype=np.int64)
         order.flags.writeable = lengths.flags.writeable = False
-        object.__setattr__(system, "_cycles", (order, lengths))
-        return system
+        return FinitePermutationSystem(p, _cycles=(order, lengths))
 
     @staticmethod
     def cycle(n: int) -> "FinitePermutationSystem":

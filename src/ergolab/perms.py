@@ -6,7 +6,9 @@ applies g first. Every function here takes and returns that form; caller
 sequences enter it once, through `as_permutation`. Arrays the library
 builds as bijections by construction skip that check and are only frozen
 (`_frozen`): the triples of `involutions.factor_three_involutions`, whose
-`verify` stays the independent check.
+`verify` stays the independent check, and the system maps that
+`core.FinitePermutationSystem._from_walk` scatters along a cycle's walk
+order, which the system keeps as its cycle listing.
 
 `cycles` lists the disjoint cycles of p, each from its least atom; the
 walk of a single cycle and the recurrence counts both read that listing.
@@ -31,14 +33,13 @@ def as_permutation(p: Sequence[int] | np.ndarray) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("need at least one atom")
     n = arr.size
-    if (
-        arr.dtype.kind not in "iu"
-        or arr.min() < 0
-        or arr.max() >= n
-        or np.bincount(arr, minlength=n).max() > 1
-    ):
-        raise ValueError("map is not a bijection on {0..n-1}")
-    return _frozen(arr.astype(np.int64))
+    if arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() < n:
+        # n images in range, so no atom repeats exactly when all n are hit
+        hit = np.zeros(n, dtype=bool)
+        hit[arr] = True
+        if hit.all():
+            return _frozen(arr.astype(np.int64))
+    raise ValueError("map is not a bijection on {0..n-1}")
 
 
 def compose(f: np.ndarray, g: np.ndarray) -> np.ndarray:

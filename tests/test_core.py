@@ -419,3 +419,46 @@ def test_non_cycle_is_walked_once(monkeypatch):
     cyc = FinitePermutationSystem(np.roll(np.arange(50), -1))
     assert cyc.walk() is cyc.walk()
     assert calls == [1000, 50]
+
+
+CONTRACT_SIZES = (1, 2, 3, 11, 12, 1000, 99991)
+
+
+def test_walk_built_systems_are_frozen_bijections_with_their_walk(monkeypatch):
+    checked = []
+    as_permutation = perms.as_permutation
+
+    def counted(p):
+        checked.append(len(p))
+        return as_permutation(p)
+
+    monkeypatch.setattr(perms, "as_permutation", counted)
+    systems = [FinitePermutationSystem.cycle(n) for n in CONTRACT_SIZES] + [
+        FinitePermutationSystem.random_cycle(n, seed)
+        for n in CONTRACT_SIZES
+        for seed in WALK_SEEDS
+    ]
+    assert checked == []  # built maps skip the caller check
+    for sys_ in systems:
+        order, lengths = sys_.cycles()
+        for a in (sys_.map, order, lengths):
+            assert a.dtype == np.int64 and not a.flags.writeable
+        assert sys_.map.tobytes() == as_permutation(sys_.map).tobytes()
+        walked_order, walked_lengths = perms.cycles(sys_.map)
+        assert order.tobytes() == walked_order.tobytes()
+        assert lengths.tolist() == walked_lengths.tolist() == [sys_.n]
+        assert sys_.walk() is order
+
+
+def test_caller_maps_are_checked_and_copied():
+    with pytest.raises(TypeError):
+        FinitePermutationSystem(np.arange(3), None)  # the listing is keyword-only
+    for bad in ((0, 0, 1), np.array([2, 0, 2]), np.array([1, 1], dtype=np.uint8)):
+        with pytest.raises(ValueError, match="not a bijection"):
+            FinitePermutationSystem(bad)
+    source = np.array([2, 0, 1], dtype=np.int64)
+    sys_ = FinitePermutationSystem(source)
+    assert source.flags.writeable and not sys_.map.flags.writeable
+    source[:] = [0, 1, 2]
+    assert sys_.map.tolist() == [2, 0, 1] and sys_._cycles is None
+    assert sys_.walk().tolist() == [0, 2, 1]

@@ -85,3 +85,47 @@ def test_system_map_is_a_read_only_int64_array():
 def test_system_rejects_a_non_bijection(bad):
     with pytest.raises(ValueError):
         FinitePermutationSystem(bad)
+
+
+def is_permutation_oracle(values):
+    """A bijection of {0..n-1} with n >= 1, by sorting: the oracle for the
+    caller check, made apart from the code under test."""
+    return len(values) >= 1 and sorted(values) == list(range(len(values)))
+
+
+def test_as_permutation_matches_a_sorting_oracle():
+    rng = np.random.default_rng(2104)
+    dtypes = (np.int64, np.int32, np.int8, np.uint8, np.uint16, np.uint64)
+    cases = [np.array([], dtype=d) for d in dtypes] + [[], [0], [1], [-1]]
+    for _ in range(3000):
+        n = int(rng.integers(1, 40))
+        p = rng.permutation(n)
+        fault = int(rng.integers(6))
+        i, j = rng.integers(n, size=2)
+        if fault == 1:  # a repeat, which leaves a gap
+            p[i] = p[j]
+        elif fault == 2:  # an image past the last atom
+            p[i] = n + rng.integers(3)
+        elif fault == 3:  # a negative image (wraps to a large one if unsigned)
+            p[i] = -1 - rng.integers(3)
+        elif fault == 4:  # shifted up by one: 0 missing, n present
+            p = p + 1
+        elif fault == 5:  # two repeats that keep min and max in range
+            p[i], p[j] = p[j], p[j]
+            p[rng.integers(n)] = 0
+        cases.append(p.astype(dtypes[int(rng.integers(len(dtypes)))]))
+        cases.append(p.tolist())
+    valid = 0
+    for p in cases:
+        values = np.asarray(p).tolist()
+        if is_permutation_oracle(values):
+            got = perms.as_permutation(p)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == values
+            assert not np.shares_memory(got, np.asarray(p))
+            valid += 1
+        else:
+            message = "not a bijection" if values else "need at least one atom"
+            with pytest.raises(ValueError, match=message):
+                perms.as_permutation(p)
+    assert 1000 < valid < len(cases) - 2000
