@@ -19,7 +19,8 @@ walked once, on first use, and the listing is kept.
 Only `_from_walk`, behind the cycle constructors, passes `_cycles` to the
 constructor: its map is a bijection by construction, so it is frozen in
 place and not checked again. Every system, built or given, still passes
-through `__post_init__`, the one place a system's map is settled.
+through `__post_init__`, the one place a system's map is settled, so a
+wrapper there (the benchmark tracer's `core.atoms` count) sees every system.
 """
 
 from __future__ import annotations

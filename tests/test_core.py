@@ -298,6 +298,10 @@ def test_atom_set_measure_is_computed():
         assert [a for a in range(-3, 15) if a in s] == [0, 4, 9, 11]
         assert -1 not in s and 12 not in s and 2**70 not in s and -(2**70) not in s
     assert given.flags.writeable and given.tolist() == [9, 4, 0, 4, 11, 9]
+    # a repeat is dropped from the shortest inputs too
+    for atoms, distinct in (([5, 5], [5]), ([5, 5, 5], [5]), ([7, 3, 7], [3, 7]), ([5], [5])):
+        s = core.AtomSet(atoms, 12)
+        assert s.atoms.tolist() == distinct and s.measure == Fraction(len(distinct), 12)
     for empty in ([], frozenset(), np.array([], dtype=np.int64), iter(())):
         e = core.AtomSet(empty, 12)
         assert len(e) == 0 and e.measure == 0 and e.atoms.dtype == np.int64
