@@ -155,6 +155,12 @@ class AtomSet:
         return m
 
 
+def _check_sets(sys: FinitePermutationSystem, *sets: AtomSet) -> None:
+    """ValueError unless every set is a set of `sys`'s atoms."""
+    if any(s.n != sys.n for s in sets):
+        raise ValueError("atom set belongs to a different system")
+
+
 @dataclass(frozen=True)
 class Tower:
     """Levels base, T base, ..., T^(h-1) base plus a residual set (the roof)."""
@@ -174,8 +180,7 @@ def validate_tower(sys: FinitePermutationSystem, tower: Tower) -> bool:
     when the tower's sets belong to a system of another size.
     """
     n, h = sys.n, tower.height
-    if tower.base.n != n or tower.residual.n != n:
-        raise ValueError("tower belongs to a different system")
+    _check_sets(sys, tower.base, tower.residual)
     base, residual = tower.base.atoms, tower.residual.atoms
     if max(h, 0) * base.size + residual.size != n:
         return False
@@ -200,6 +205,14 @@ def _tower(order: np.ndarray, h: int, roof: Sequence[int]) -> Tower:
     return Tower(AtomSet(np.delete(order, roof)[c::h], n), h, AtomSet(order[roof], n))
 
 
+def _walk_for_height(sys: FinitePermutationSystem, h: int) -> np.ndarray:
+    """`sys.walk()` for a tower of height h; ValueError unless 1 <= h <= n."""
+    order = sys.walk()
+    if not 1 <= h <= sys.n:
+        raise ValueError(f"need 1 <= h <= n, got h={h}, n={sys.n}")
+    return order
+
+
 def rokhlin_tower(sys: FinitePermutationSystem, h: int) -> Tower:
     """Height-h tower on a single n-cycle with residual of measure (n mod h)/n.
 
@@ -207,10 +220,7 @@ def rokhlin_tower(sys: FinitePermutationSystem, h: int) -> Tower:
     0, h, 2h, ... and the residual is the trailing n mod h positions.
     When n mod h <= 1 the residual additionally maps into the base under T.
     """
-    order = sys.walk()
-    n = sys.n
-    if not 1 <= h <= n:
-        raise ValueError(f"need 1 <= h <= n, got h={h}, n={n}")
+    order, n = _walk_for_height(sys, h), sys.n
     return _tower(order, h, range(n - n % h, n))
 
 
@@ -254,14 +264,10 @@ def lehrer_weiss_tower(sys: FinitePermutationSystem, h: int, y: AtomSet) -> Towe
     positions, and it holds exactly n mod h atoms. Those positions are where
     y's membership mask, gathered in walk order, is set: ascending as found.
     """
-    order = sys.walk()
-    n = sys.n
-    if not 1 <= h <= n:
-        raise ValueError(f"need 1 <= h <= n, got h={h}, n={n}")
+    order, n = _walk_for_height(sys, h), sys.n
     if len(y) == 0:
         raise ValueError("target set y must be non-empty")
-    if y.n != n:
-        raise ValueError("y belongs to a different system")
+    _check_sets(sys, y)
     y_pos = np.flatnonzero(y.mask()[order]).tolist()
     roof = _arc_residual_search(y_pos, n, h)
     if roof is None:

@@ -7,8 +7,9 @@ upward, which satisfies the relation by construction.
 
 Fields grow as packed rows: row y is one w-bit int whose bit x is cell
 (x, y), so a roll of the row by +-1 is a rotate of its word and the next row
-is ``row ^ rotl(row) ^ rotr(row) ^ prev``. The words are unpacked once into
-the uint8 cell array.
+is ``row ^ rotl(row) ^ rotr(row) ^ prev``. The two seed rows are packed
+into words, and all words unpacked once into the uint8 cell array, by
+`_bits`.
 
 The thread-walking rule here (move to the unique white cell among
 ahead-left/ahead/ahead-right, preferring forward, then right, then left) is
@@ -22,10 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _bits
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class HarmonicField:
-    """GF(2) cells indexed [y, x]; x wraps (cylinder), y is free.
+    """GF(2) cells indexed [y, x]; x wraps (cylinder), y is free. Equality
+    is identity.
 
     Caller cells are checked to be a 2-D array of 0/1 values.
     `field_from_rows` builds its field through `_built` without that check:
@@ -87,23 +91,19 @@ def field_from_rows(row0, row1, height: int) -> HarmonicField:
     # allocated before the rows are checked or grown: a height that is not an
     # int, or too large to hold, fails here
     cells = np.empty((height, width), dtype=np.uint8)
-    # packbits would read any nonzero byte as 1
+    # packing would read any nonzero byte as 1
     if not (_binary(r0) and _binary(r1)):
         raise ValueError("cells must be 0/1 valued")
-    nbytes = (width + 7) // 8
     mask = (1 << width) - 1
     top = max(width - 1, 0)  # width 0 has no wrap bit
-    prev, row = (int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
-                 for r in (r0, r1))
+    prev, row = _bits.pack(r0), _bits.pack(r1)
     words = [prev, row]
     for _ in range(height - 2):
         rotl = ((row << 1) & mask) | (row >> top)
         rotr = (row >> 1) | ((row & 1) << top)
         prev, row = row, row ^ rotl ^ rotr ^ prev
         words.append(row)
-    packed = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words), np.uint8)
-    cells[:] = np.unpackbits(packed.reshape(height, nbytes), axis=1, count=width,
-                             bitorder="little")
+    cells[:] = _bits.unpack(words, width)
     return HarmonicField._built(cells)
 
 

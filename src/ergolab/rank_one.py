@@ -37,11 +37,11 @@ The counts of the grown set cost one array pass per near step over its
 span, or its size squared when its pairs are counted directly because it
 is small next to that span. The recursion starts from A's own counts over
 A's span L: one exact integer product (Kronecker substitution: A's
-indicator packed into an int at |A|.bit_length() bits per level, times the
-same packing reversed) when A holds at least 128 levels and fills at least
-a quarter of L, and A's |A|^2 pairs otherwise. No count exceeds D(0) =
-|A| < 2^(|A|.bit_length()), so no slot of the product carries into the
-next; it uses no float.
+indicator packed by `_bits` into an int at |A|.bit_length() bits per
+level, times the same packing reversed) when A holds at least 128 levels
+and fills at least a quarter of L, and A's |A|^2 pairs otherwise. No
+count exceeds D(0) = |A| < 2^(|A|.bit_length()), so no slot of the
+product carries into the next; it uses no float.
 
 A query has one certificate: no level of A lies within n of the working
 tower's top, so every orbit segment of length n stays inside it. Values
@@ -58,11 +58,12 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, chain, count, islice, pairwise, repeat
 from numbers import Rational
 
 import numpy as np
 
+from . import _bits
 from .errors import DesignError
 
 SCAN_CAP = 1_000_000  # gaps of M that gap_intervals reads before giving up
@@ -98,15 +99,20 @@ class RankOneSpec:
         return len(self.spacers) + 1
 
 
+def _height_walk(spec: RankOneSpec) -> Iterator[int]:
+    """The heights h_1, h_2, ... without end, under h_{j+1} = 2*h_j + s_j
+    with s_j = h_j past the explicit spacers."""
+    h = spec.h1
+    for j in count():
+        yield h
+        h = 2 * h + (spec.spacers[j] if j < len(spec.spacers) else h)
+
+
 def heights(spec: RankOneSpec, stages: int) -> list[int]:
-    """Heights h_1..h_stages under h_{j+1} = 2*h_j + s_j, with s_j = h_j
-    past the explicit spacers."""
+    """Heights h_1..h_stages (see `_height_walk`)."""
     if stages < 1:
         raise ValueError("stage count must be positive")
-    hs = [spec.h1]
-    for j in range(stages - 1):
-        hs.append(2 * hs[-1] + (spec.spacers[j] if j < len(spec.spacers) else hs[-1]))
-    return hs
+    return list(islice(_height_walk(spec), stages))
 
 
 def level_width(stage: int) -> Fraction:
@@ -199,14 +205,12 @@ def min_exact_stage(spec: RankOneSpec, a: LevelSet, n_max: int) -> int:
     It exists: that gap grows by s_j from stage j to j+1, so it never
     shrinks and grows by h_j at each tail stage. A is checked once, and the
     height and the top level then grow together, one stage per step."""
-    hs = heights(spec, a.stage)
-    h, top, stage = hs[-1], _top_level(hs, a), a.stage
-    while True:
+    top = _top_level(heights(spec, a.stage), a)
+    steps = pairwise(islice(_height_walk(spec), a.stage - 1, None))
+    for stage, (h, grown) in enumerate(steps, a.stage + 1):
         if a.levels:
             top += h
-        h = 2 * h + (spec.spacers[stage - 1] if stage <= len(spec.spacers) else h)
-        stage += 1
-        if h - top > n_max:
+        if grown - top > n_max:
             return stage
 
 
@@ -311,20 +315,21 @@ def correlation_series(
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    stage = min_exact_stage(spec, a, n_max)
-    steps = heights(spec, stage)[a.stage - 1 : -1]
-    counts = np.zeros(0, dtype=np.int64)
+    _top_level(heights(spec, a.stage), a)  # rejects a malformed A
+    counts, steps = np.zeros(0, dtype=np.int64), []
     if a.levels:
         low = min(a.levels)
         offsets = sorted(l - low for l in a.levels)
         span, cap = offsets[-1], n_max + 1
         if span > cap:  # else no gap passes the clamp
             offsets = [0, *accumulate(min(m - l, cap) for l, m in pairwise(offsets))]
-        steps = _near_steps(steps, span, offsets[-1], n_max)
+        steps = _near_steps(islice(_height_walk(spec), a.stage - 1, None), span,
+                            offsets[-1], n_max)
         counts = _grown_differences(np.array(offsets, dtype=np.int64), steps, n_max)[
             : n_max + 1
         ]
-    # the level width 2^(1-stage), times 2 for each far step left out of counts
+    # the level width at A's stage, halved at each near step; the far steps
+    # double every count and halve the width, which leaves the values alone
     den = 2 ** (a.stage - 1 + len(steps))
     present = np.zeros(int(counts.max(initial=0)) + 1, dtype=bool)
     present[counts] = True
@@ -336,10 +341,11 @@ def correlation_series(
     return CorrelationSeries(_Pairs(values, n_max + 1, shared[0]))
 
 
-def _near_steps(steps: Sequence[int], span: int, clamped: int, n_max: int) -> list[int]:
+def _near_steps(steps: Iterable[int], span: int, clamped: int, n_max: int) -> list[int]:
     """The near steps (see the module docstring) of a set that spans `span`
     levels and `clamped` over clamped gaps, each as the clamped span so far
-    plus its middle gap h - span. Raises ValueError at a clamped span of 2^63."""
+    plus its middle gap h - span, read from the heights `steps` until the
+    first far one. Raises ValueError at a clamped span of 2^63."""
     near = []
     for h in steps:
         if h - span > n_max:
@@ -387,16 +393,8 @@ def _product_differences(s: np.ndarray, width: int) -> np.ndarray:
     length = int(s[-1] - s[0]) + 1
     bits = np.zeros((length, width), dtype=np.uint8)
     bits[s - s[0], 0] = 1
-    x, y = (
-        int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little")
-        for b in (bits, bits[::-1])
-    )
-    low = (x * y) & ((1 << length * width) - 1)  # slots 0..L-1
-    slots = np.unpackbits(
-        np.frombuffer(low.to_bytes(-(-length * width // 8), "little"), dtype=np.uint8),
-        count=length * width,
-        bitorder="little",
-    ).reshape(length, width)
+    low = (_bits.pack(bits) * _bits.pack(bits[::-1])) & ((1 << length * width) - 1)
+    slots = _bits.unpack([low], length * width).reshape(length, width)  # slots 0..L-1
     return (slots @ (1 << np.arange(width)))[::-1]
 
 
@@ -478,8 +476,6 @@ def nonmixing_decomposition(
     except (OverflowError, ValueError):  # c is inf or nan
         return None
     m_bound = (mu_a.numerator * c_den // (mu_a.denominator * c_num)).bit_length() - 1
-    if m_bound <= 0:
-        return None
     remaining = n
     terms: list[tuple[int, int]] = []
     stop = len(hs)  # the stages still open are 1..stop

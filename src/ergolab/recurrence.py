@@ -9,12 +9,13 @@ yields n * mu(A intersect T^i A1 intersect T^2i A2) for each time of a range.
 It runs along the map's cycles (`FinitePermutationSystem.cycles`): on a
 cycle of length m, T^-i moves the atom at position p to position p - i
 (mod m). The cycles of each length m lie side by side in 2m-bit blocks of
-one int per set, bit p of a block set when the atom at position p is in
-the set. A's blocks hold their m bits, then m zeros; A1's and A2's hold
-theirs twice, so a right shift by m - k puts rotl(bits, k) in each block's
-low half, and A's zeros mask off the rest. The count at time i is the
-popcount of A & rotl(A1, i) & rotl(A2, 2i), summed over the distinct
-lengths: about 2n/64 machine words per time, whatever the set sizes.
+one int per set, packed by `_bits`: bit p of a block is set when the atom
+at position p is in the set. A's blocks hold their m bits, then m zeros;
+A1's and A2's hold theirs twice, so a right shift by m - k puts
+rotl(bits, k) in each block's low half, and A's zeros mask off the rest.
+The count at time i is the popcount of A & rotl(A1, i) & rotl(A2, 2i),
+summed over the distinct lengths: about 2n/64 machine words per time,
+whatever the set sizes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import AtomSet, FinitePermutationSystem
+from . import _bits
+from .core import AtomSet, FinitePermutationSystem, _check_sets
 
 
 @dataclass(frozen=True)
@@ -35,12 +37,6 @@ class TripleAverage:
     n_horizon: int
     value: Fraction
     product: Fraction
-
-
-def _check_sets(sys: FinitePermutationSystem, *sets: AtomSet) -> None:
-    for s in sets:
-        if s.n != sys.n:
-            raise ValueError("atom set belongs to a different system")
 
 
 def _horizon(n_horizon: int) -> range:
@@ -56,7 +52,7 @@ def _blocks(in_set: np.ndarray, atoms: np.ndarray, m: int) -> int:
     rows = in_set[atoms].reshape(-1, m)
     if len(rows) > 1:  # the last block's zeros are the int's own
         rows = np.hstack([rows, np.zeros_like(rows)])
-    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
+    return _bits.pack(rows)
 
 
 def _group_counts(m: int, b: int, b1: int, b2: int, times: range) -> Iterator[int]:

@@ -655,3 +655,16 @@ def test_mosaic_count_takes_the_default_adjacency_when_given(tmp_path):
     assert main(base + ["--out", str(tmp_path / "default")]) == 0
     assert main(base + ["--adjacency", "8", "--out", str(tmp_path / "eight")]) == 0
     assert (tmp_path / "eight").read_bytes() == (tmp_path / "default").read_bytes()
+
+
+def test_decompose_remainder_cap_defaults_to_zero(tmp_path):
+    decompose = ["rankone", "decompose", "--spacers", "1,1,1", "--times", "1,5,6"]
+    outs = {}
+    for name, cap in (("default", []), ("zero", ["--remainder-cap", "0"]),
+                      ("one", ["--remainder-cap", "1"])):
+        out = tmp_path / f"{name}.json"
+        assert run(decompose + cap + ["--out", str(out)]) == 0
+        outs[name] = out.read_bytes()
+    assert outs["default"] == outs["zero"]
+    # the argv can tell the default apart from a cap of 1
+    assert outs["one"] != outs["zero"]

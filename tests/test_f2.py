@@ -425,3 +425,13 @@ def test_search_never_draws_the_budget_remainder():
             whole = f2.search_best(2, f2.RESTARTS * k, seed)
             for r in range(1, f2.RESTARTS):
                 assert f2.search_best(2, f2.RESTARTS * k + r, seed) == whole, (seed, k, r)
+
+
+def test_pattern_set_masks_stop_below_two_to_the_window_size():
+    for radius in (0, 1):
+        window = f2.ball(radius)
+        top = 1 << len(window)
+        assert f2.CylinderPatternSet(window, frozenset([0, top - 1])).measure == Fraction(2, top)
+        for mask in (top, top + 1, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                f2.CylinderPatternSet(window, frozenset([mask]))

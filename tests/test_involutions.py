@@ -362,3 +362,13 @@ def test_each_involution_moves_exactly_the_table_entries_on_walk_positions():
         for s, table in zip((triple.s1, triple.s2, triple.s3), _table_images(n, h)):
             moved = {labels[j]: labels[pos[s[order[j]]]] for j in range(n)}
             assert {a: b for a, b in moved.items() if a != b} == table, (n, h)
+
+
+def test_verify_rejects_a_triple_composing_to_the_target_with_a_non_involution():
+    # (T, id, id) composes to T, but for n >= 3 the cycle T is no involution
+    for n in (3, 4, 7):
+        sys_ = FinitePermutationSystem.cycle(n)
+        identity = np.arange(n)
+        triple = InvolutionTriple(sys_.map, identity, identity)
+        assert (triple.compose() == sys_.map).all()
+        assert not triple.verify(sys_.map), n

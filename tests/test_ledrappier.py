@@ -390,3 +390,31 @@ def test_field_from_rows_validation():
             for height in (2, 3, 7):
                 f = led.field_from_rows(r0, r1, height)
                 assert_same_cells(f.cells, reference_cells(r0, r1, height))
+
+
+def test_power_identity_refuses_a_distance_that_spans_the_grid():
+    # 2^(k+1) equal to the width or to the height leaves no cell with all
+    # four partners at distance 2^k, in either orientation
+    for m, k in ((4, 1), (8, 2)):
+        for width, height in ((m, 4 * m), (4 * m, m)):
+            f = led.field_from_rows([1] + [0] * (width - 1), [0] * width, height)
+            assert led.power_identity_check(f, k - 1)
+            with pytest.raises(ValueError, match="too large for the grid"):
+                led.power_identity_check(f, k)
+
+
+def test_trace_start_rows_outside_the_grid_are_value_errors():
+    cells = np.ones((4, 5), dtype=np.uint8)
+    f = led.HarmonicField(cells)
+    assert led.trace_thread(f, (2, 3), "up").symbols == ()
+    for y in (4, 5, -1):
+        with pytest.raises(ValueError, match="start cell must be white"):
+            led.trace_thread(f, (2, y), "up")
+
+
+def test_fields_compare_and_hash_by_identity():
+    cells = led.sample_field(6, 5, 3).cells
+    f, g = led.HarmonicField(cells), led.HarmonicField(cells.copy())
+    assert f == f and f != g and not (f == g)
+    assert len({f, g, f}) == 2 and hash(f) == hash(f)
+    assert f.cells is cells
