@@ -400,8 +400,8 @@ def _product_differences(s: np.ndarray, width: int) -> np.ndarray:
 
 def _grown_differences(s: np.ndarray, steps: Sequence[int], n_max: int) -> np.ndarray:
     """Difference counts, at least those for d <= n_max, of the set grown
-    from the sorted levels `s` by S -> S + (S + h) for each height h in
-    `steps`. The recursion costs one array pass per step over the span of
+    from the sorted levels `s`, the least of them 0, by S -> S + (S + h)
+    for each height h in `steps`. The recursion costs one array pass per step over the span of
     the grown set; counting the grown set's pairs costs its size squared,
     and is used when that is the smaller. The recursion's base counts come
     from one integer product when S holds at least _PRODUCT_LEVELS levels
@@ -410,9 +410,9 @@ def _grown_differences(s: np.ndarray, steps: Sequence[int], n_max: int) -> np.nd
     blocks), and from S's pairs otherwise: at density 1/4 the product
     wins from about 96 levels, and on a sparse set, 5,000 levels over
     10^5, the pairs are faster."""
-    span = int(s[-1] - s[0]) + sum(steps)
+    span = int(s[-1]) + sum(steps)
     if span <= (len(s) << len(steps)) ** 2:
-        length = int(s[-1] - s[0]) + 1
+        length = int(s[-1]) + 1
         if len(s) >= _PRODUCT_LEVELS and _PRODUCT_FILL * len(s) >= length:
             d = _product_differences(s, len(s).bit_length())
         else:

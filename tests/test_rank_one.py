@@ -5,7 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import islice, product
+from itertools import chain, islice, product
 
 import numpy as np
 import pytest
@@ -1202,3 +1202,99 @@ def test_extend_spec_reaches_horizon():
     spec = r1.extend_spec(d.spec, a, 5000)
     series = r1.correlation_series(spec, a, 5000)
     assert series.value(150) == a.measure() / 2
+
+
+def test_an_empty_set_stores_no_values():
+    # D(n) = 0 at every time, so every entry reads the one shared zero
+    spec = r1.design_spacers(DECADES, 1).spec
+    for stage, n_max in ((1, 0), (3, 1000), (5, 10**6)):
+        entries = r1.correlation_series(spec, r1.LevelSet(stage, frozenset()), n_max).entries
+        assert entries.values == () and len(entries) == n_max + 1
+        assert entries[n_max] == (n_max, 0) and entries[0][1] is entries.zero
+
+
+def test_gap_intervals_read_exactly_the_scan_cap_of_gaps():
+    # consecutive integers leave no usable gap; the jump after them is gap
+    # 10^6 = SCAN_CAP, the last one read, or the gap after it
+    for gaps_before in (10**6 - 1, 10**6):
+        seq = chain(range(gaps_before + 1), [gaps_before + 10])
+        if gaps_before < 10**6:
+            assert r1.gap_intervals(seq, 1) == [(gaps_before + 3, gaps_before + 7)]
+        else:
+            with pytest.raises(DesignError, match="scan budget 1000000"):
+                r1.gap_intervals(seq, 1)
+
+
+def test_correlation_refuses_a_time_as_long_as_the_tower():
+    spec = r1.RankOneSpec(2, (3, 1))
+    a = r1.LevelSet(1, frozenset([0]))
+    for stage, h in enumerate(r1.heights(spec, 4), 1):
+        with pytest.raises(ValueError, match=f"time {h} leaves the stage-{stage} tower"):
+            r1.correlation(spec, a, h, stage)
+        assert r1.correlation(spec, a, h - 1, stage) is not None
+
+
+def test_extend_spec_writes_out_every_stage_up_to_the_certifying_one():
+    prefix = r1.RankOneSpec(2, (3, 0, 5))
+    a = r1.LevelSet(2, frozenset([1, 4]))
+    for n_max in (0, 10, 100, 10**4):
+        stage = r1.min_exact_stage(prefix, a, n_max)
+        spec = r1.extend_spec(prefix, a, n_max)
+        assert spec.max_stage == max(prefix.max_stage, stage), n_max
+        hs = r1.heights(prefix, spec.max_stage)
+        assert spec.spacers == prefix.spacers + tuple(hs[prefix.max_stage - 1 : -1])
+        assert r1.heights(spec, spec.max_stage) == hs
+        # a spec deep enough already is its own extension
+        assert r1.extend_spec(spec, a, n_max) == spec
+
+
+def test_series_refuses_a_clamped_span_of_exactly_2_63_levels():
+    # h1 - span = 2^63 > n_max, so no step is near, and the clamp at
+    # n_max + 1 = 2^63 leaves A's one gap of 2^63 levels as it is
+    spec, a = r1.RankOneSpec(2**64, ()), r1.LevelSet(1, frozenset([0, 2**63]))
+    with pytest.raises(ValueError, match="clamped level set spans 2\\^63 levels"):
+        r1.correlation_series(spec, a, 2**63 - 1)
+
+
+def test_sparse_grown_sets_count_their_own_pairs(monkeypatch):
+    # two levels 100 apart and three near steps: the 16 grown levels span
+    # 807 > 16^2 levels, so their pairs are counted directly
+    sizes = []
+    pairs = r1._pair_differences
+    monkeypatch.setattr(
+        r1, "_pair_differences",
+        lambda s, length: sizes.append(len(s)) or pairs(s, length),
+    )
+    spec, a, n_max = r1.RankOneSpec(101, (0, 0)), r1.LevelSet(1, frozenset([0, 100])), 300
+    series = r1.correlation_series(spec, a, n_max)
+    assert sizes == [16]
+    stage = r1.min_exact_stage(spec, a, n_max)
+    assert [v for _, v in series.entries] == [
+        r1.correlation(spec, a, n, stage) for n in range(n_max + 1)
+    ]
+    assert series.value(101) != 0
+
+
+def test_design_starts_from_a_single_level_by_default():
+    intervals = [(100, 200), (1000, 2000)]
+    design = r1.design_spacers(intervals)
+    assert design.spec.h1 == design.heights[0] == 1
+    assert design == r1.design_spacers(intervals, 1) != r1.design_spacers(intervals, 2)
+
+
+def test_grown_pairs_past_one_block_match_pointwise_queries(monkeypatch):
+    # nine zero spacers double two levels 5000 apart into 2048 levels over
+    # about 5 * 2^20, so their pairs are counted directly, in four blocks
+    sizes = []
+    pairs = r1._pair_differences
+    monkeypatch.setattr(
+        r1, "_pair_differences",
+        lambda s, length: sizes.append(len(s)) or pairs(s, length),
+    )
+    spec, a, n_max = r1.RankOneSpec(5001, (0,) * 9), r1.LevelSet(1, frozenset([0, 5000])), 5000
+    series = r1.correlation_series(spec, a, n_max)
+    assert sizes == [2048] and 2048**2 > max(r1._PAIR_BLOCK, n_max + 1)
+    stage = r1.min_exact_stage(spec, a, n_max)
+    for n in [*range(0, n_max + 1, 97), 1, 5000]:
+        assert series.value(n) == r1.correlation(spec, a, n, stage), n
+    assert sum(v != 0 for _, v in series.entries) > 2
