@@ -58,7 +58,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, count, islice, pairwise, repeat
+from itertools import accumulate, chain, islice, pairwise, repeat
 from numbers import Rational
 
 import numpy as np
@@ -102,10 +102,10 @@ class RankOneSpec:
 def _height_walk(spec: RankOneSpec) -> Iterator[int]:
     """The heights h_1, h_2, ... without end, under h_{j+1} = 2*h_j + s_j
     with s_j = h_j past the explicit spacers."""
-    h = spec.h1
-    for j in count():
+    h, spacers = spec.h1, iter(spec.spacers)
+    while True:
         yield h
-        h = 2 * h + (spec.spacers[j] if j < len(spec.spacers) else h)
+        h = 2 * h + next(spacers, h)
 
 
 def heights(spec: RankOneSpec, stages: int) -> list[int]:
@@ -205,13 +205,15 @@ def min_exact_stage(spec: RankOneSpec, a: LevelSet, n_max: int) -> int:
     It exists: that gap grows by s_j from stage j to j+1, so it never
     shrinks and grows by h_j at each tail stage. A is checked once, and the
     height and the top level then grow together, one stage per step."""
-    top = _top_level(heights(spec, a.stage), a)
-    steps = pairwise(islice(_height_walk(spec), a.stage - 1, None))
-    for stage, (h, grown) in enumerate(steps, a.stage + 1):
+    walk = _height_walk(spec)
+    hs = list(islice(walk, a.stage))
+    top, h = _top_level(hs, a), hs[-1]
+    for stage, grown in enumerate(walk, a.stage + 1):
         if a.levels:
             top += h
         if grown - top > n_max:
             return stage
+        h = grown
 
 
 class _Pairs(Sequence):
@@ -450,7 +452,7 @@ def nonmixing_decomposition(
 
     The term count is capped by the largest m with 2^-m * mu_a >= c. Since
     2^m is an integer, 2^m <= mu_a / c exactly when 2^m <= floor(mu_a / c),
-    so the cap is floor(log2(floor(mu_a / c))), and 0 when mu_a < 2c. A
+    so the cap is floor(log2(floor(mu_a / c))), below 1 when mu_a < 2c. A
     float c is compared exactly, as the binary fraction it holds; c = inf
     or nan admits no term. Heights are consumed in strictly decreasing
     stage order, each the nearest height to the running remainder's
