@@ -161,9 +161,10 @@ def _check_sets(sys: FinitePermutationSystem, *sets: AtomSet) -> None:
         raise ValueError("atom set belongs to a different system")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tower:
-    """Levels base, T base, ..., T^(h-1) base plus a residual set (the roof)."""
+    """Levels base, T base, ..., T^(h-1) base plus a residual set (the roof).
+    Equality is identity, as for the `AtomSet`s it holds."""
 
     base: AtomSet
     height: int

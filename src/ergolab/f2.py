@@ -151,8 +151,6 @@ def disjoint(b1: CylinderPatternSet, b2: CylinderPatternSet) -> bool:
     merged = set(b1.window) | set(b2.window)
     if len(merged) > WINDOW_CAP:
         raise CapExceeded(f"merged window of {len(merged)} words exceeds cap")
-    if not b1.assignments or not b2.assignments:
-        return True
     overlap = sorted(set(b1.window) & set(b2.window), key=_shortlex_key)
     p1, p2 = (_gather_bits(b.assignments, [b.window.index(w) for w in overlap])
               for b in (b1, b2))

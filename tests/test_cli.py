@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -668,3 +669,146 @@ def test_decompose_remainder_cap_defaults_to_zero(tmp_path):
     assert outs["default"] == outs["zero"]
     # the argv can tell the default apart from a cap of 1
     assert outs["one"] != outs["zero"]
+
+
+def test_atom_lists_read_as_int_reads_each_item():
+    texts = ["+3", " 4", "1_000", "007", "-0", "٣", ",1,,2,", "", ",", "5,",
+             "0,3,9", "12, +7 ,١٢", "9223372036854775806", "0" * 19 + "5",
+             "9" * 18, "3," + "0" * 400 + "2,1"]
+    for text in texts:
+        atoms = cli._atoms(text)
+        assert isinstance(atoms, np.ndarray) and atoms.dtype == np.int64, text
+        assert atoms.tolist() == cli._ints(text), text
+    # past int64 the list stays, for AtomSet to refuse
+    for text in ("9223372036854775808", "1,-36893488147419103232,2"):
+        assert cli._atoms(text) == cli._ints(text)
+    assert cli._atoms("9223372036854775807").tolist() == [2**63 - 1]
+    # int refuses an item past its digit limit, leading zeros or not
+    for text in ("0" * 5000, "3," + "0" * 5000 + "7"):
+        with pytest.raises(ValueError, match="digits"):
+            cli._ints(text)
+        with pytest.raises(ValueError, match="digits"):
+            cli._atoms(text)
+    rng = np.random.default_rng(36)
+    for _ in range(3000):
+        text = "".join(rng.choice(list("0000123456789,,, +-_x"), rng.integers(0, 30)))
+        try:
+            expected = cli._ints(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                cli._atoms(text)
+            continue
+        atoms = cli._atoms(text)
+        assert (atoms if isinstance(atoms, list) else atoms.tolist()) == expected, text
+        assert isinstance(atoms, list) == any(not -(2**63) <= i < 2**63 for i in expected), text
+
+
+@pytest.mark.parametrize("flag", ["--A", "--A1", "--A2", "--y"])
+@pytest.mark.parametrize("item", ["x", "1.5"])
+def test_atom_lists_refuse_a_junk_item_as_a_usage_error(tmp_path, capsys, flag, item):
+    if flag == "--y":
+        argv = ["tower", "--n", "8", "--h", "3"]
+    else:
+        argv = ["recurrence", "average", "--n", "5", "--A", "0", "--N", "5"]
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [flag, f"1,{item}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--A", "--A1", "--A2", "--y"])
+@pytest.mark.parametrize("item", [str(2**63), str(-(2**65)), str(2**63 - 1)])
+def test_atom_items_past_int64_exit_1_from_every_atom_flag(tmp_path, capsys, flag, item):
+    if flag == "--y":
+        argv = ["tower", "--n", "8", "--h", "3"]
+    else:
+        argv = ["recurrence", "average", "--n", "5", "--A", "0", "--N", "5"]
+    out = tmp_path / "out.json"
+    assert run(argv + [f"{flag}={item}", "--out", str(out)]) == 1
+    assert "atom index out of range" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_json_writer_reads_int64_arrays_either_side_of_the_table_length(tmp_path):
+    rng = np.random.default_rng(36)
+    arrays = []
+    for size in (cli._LONG_ARRAY - 1, cli._LONG_ARRAY, 5000):
+        items = rng.integers(-(2**63), 2**63, size, dtype=np.int64)
+        items[: size // 2] %= 4000
+        arrays.append(items)
+    # the table's edges: a zero inside a number, the uint32 switch, int64's ends
+    for edges in ([0], [5], [-5], [1001], [10**9 - 1], [10**9], [2**32 - 1], [2**32],
+                  [10**10 - 1], [10**10], [-(2**63)], [2**63 - 1],
+                  [0, 10, 100, 1000, 10, 0, -10, -1001, 9, 99, 999, 1010]):
+        arrays.append(np.resize(np.array(edges, np.int64), cli._LONG_ARRAY))
+    for items in arrays:
+        size = items.size
+        for payload, nested in (
+            (items, items.tolist()),
+            ({"a": items}, {"a": items.tolist()}),
+            ({"p": {"a": items, "b": [1]}}, {"p": {"a": items.tolist(), "b": [1]}}),
+        ):
+            path = tmp_path / f"{size}.json"
+            cli._write_json(str(path), payload)
+            expected = json.dumps(nested, sort_keys=True, indent=2) + "\n"
+            assert path.read_text(encoding="ascii") == expected, size
+
+
+def test_manifests_write_long_and_short_atom_arrays_as_lists(tmp_path):
+    rng = np.random.default_rng(7)
+    long_set = sorted(rng.choice(4000, 1333, replace=False).tolist())
+    sets = {"a": long_set, "a1": [5, 17, 3999], "a2": []}
+    argv = ["recurrence", "average", "--n", "4000", "--N", "40",
+            "--A", ",".join(map(str, sets["a"])),
+            "--A1", ",".join(map(str, sets["a1"])), "--A2", ""]
+    out = tmp_path / "avg.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    text = (tmp_path / "avg.json.manifest.json").read_text(encoding="ascii")
+    manifest = json.loads(text)
+    assert {k: manifest["parameters"][k] for k in sets} == sets
+    assert text == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    tower = ["tower", "--n", "3000", "--h", "2", "--y", ",".join(map(str, range(3000)))]
+    assert run(tower + ["--out", str(out)]) == 0
+    for path in (out, tmp_path / "avg.json.manifest.json"):
+        text = path.read_text(encoding="ascii")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    payload = json.loads(out.read_text(encoding="ascii"))
+    assert payload["base"] == list(range(0, 3000, 2)) and payload["residual"] == []
+
+
+def test_manifest_wall_time_is_the_time_of_the_call(tmp_path):
+    argv = ["recurrence", "average", "--n", "500", "--A", "1,2,3", "--N", "50",
+            "--out", str(tmp_path / "avg.json")]
+    t0 = time.monotonic()
+    assert run(argv) == 0
+    elapsed = time.monotonic() - t0
+    manifest = json.loads((tmp_path / "avg.json.manifest.json").read_text())
+    assert 0 <= manifest["wall_time_s"] <= elapsed
+
+
+def test_decompose_c_den_defaults_to_four(tmp_path):
+    decompose = ["rankone", "decompose", "--spacers", "1,1,1,1,1",
+                 "--times", "1,2,3,5,6,7,9,10,11,13", "--mu-num", "7", "--mu-den", "8"]
+    outs = {}
+    for name, den in (("default", []), ("four", ["--c-den", "4"]),
+                      ("five", ["--c-den", "5"])):
+        out = tmp_path / f"{name}.json"
+        assert run(decompose + den + ["--out", str(out)]) == 0
+        outs[name] = out.read_bytes()
+    assert outs["default"] == outs["four"]
+    assert outs["five"] != outs["four"]
+
+
+def test_stats_samples_default_to_64(tmp_path):
+    stats = ["ledrappier", "stats", "--n", "16", "--m", "16", "--seed", "191"]
+    outs = {}
+    for name, samples in (("default", []), ("64", ["--samples", "64"]),
+                          ("65", ["--samples", "65"])):
+        out = tmp_path / f"{name}.json"
+        assert run(stats + samples + ["--out", str(out)]) == 0
+        outs[name] = out.read_bytes()
+    assert outs["default"] == outs["64"]
+    assert json.loads(outs["64"])["max_len"] == 12
+    assert json.loads(outs["65"])["max_len"] == 14

@@ -466,3 +466,10 @@ def test_caller_maps_are_checked_and_copied():
     source[:] = [0, 1, 2]
     assert sys_.map.tolist() == [2, 0, 1] and sys_._cycles is None
     assert sys_.walk().tolist() == [0, 2, 1]
+
+
+def test_towers_compare_and_hash_by_identity():
+    t = core.rokhlin_tower(FinitePermutationSystem.cycle(12), 5)
+    same_fields = core.Tower(t.base, t.height, t.residual)
+    assert t == t and same_fields != t and not (same_fields == t)
+    assert len({t, same_fields, t}) == 2 and hash(t) == hash(t)

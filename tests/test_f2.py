@@ -435,3 +435,16 @@ def test_pattern_set_masks_stop_below_two_to_the_window_size():
         for mask in (top, top + 1, -1):
             with pytest.raises(ValueError, match="out of range"):
                 f2.CylinderPatternSet(window, frozenset([mask]))
+
+
+def test_disjoint_takes_a_merged_window_of_64_words_and_refuses_65():
+    words = f2.ball(4)[:65]
+    left = f2.cylinder({w: 0 for w in words[:40]})
+    fits = f2.cylinder({w: 0 for w in words[24:64]})
+    assert not f2.disjoint(left, fits)  # both fix the 16 shared words to 0
+    assert f2.disjoint(left, f2.CylinderPatternSet(fits.window, frozenset()))
+    past = f2.cylinder({w: 0 for w in words[24:65]})
+    with pytest.raises(CapExceeded, match="merged window of 65 words"):
+        f2.disjoint(left, past)
+    with pytest.raises(CapExceeded, match="merged window of 65 words"):
+        f2.disjoint(f2.CylinderPatternSet(left.window, frozenset()), past)

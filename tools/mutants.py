@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "perfbench", "pyproject.toml", "BENCHMARK.json")
+COPIED = ("src", "tests", "perfbench", "tools", "pyproject.toml", "BENCHMARK.json")
 
 SWAPS = {
     ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
