@@ -211,14 +211,18 @@ def _atoms(text: str) -> np.ndarray | list[int]:
 
     numpy reads a text of ASCII digits and commas whose items hold at most
     18 digits, and so lie below 2^63, in one call: about 30 us at 1,333
-    items, against 180 us for `_ints`. It raises on an empty item other
-    than the last. Such texts, and texts with signs, spaces, other digits
-    or longer items, go to `_ints`.
+    items, against 180 us for `_ints`. Its result counts only when it holds
+    one item per comma-separated item: numpy refuses an empty item inside
+    the text (ValueError), and older versions stop there with a warning.
+    Other texts, with empty items, signs, spaces, other digits or longer
+    items, go to `_ints`.
     """
     nines = text.encode("ascii", "replace").translate(bytes.maketrans(b"012345678", b"9" * 9))
     if not nines.translate(None, b"9,") and b"9" * 19 not in nines:
         with contextlib.suppress(ValueError):
-            return np.fromstring(text, np.int64, sep=",")
+            atoms = np.fromstring(text, np.int64, sep=",")
+            if atoms.size == nines.count(b",") + 1:
+                return atoms
     items = _ints(text)
     try:
         return np.array(items, np.int64)

@@ -703,6 +703,16 @@ def test_atom_lists_read_as_int_reads_each_item():
         assert isinstance(atoms, list) == any(not -(2**63) <= i < 2**63 for i in expected), text
 
 
+def test_atom_lists_do_not_trust_a_numpy_that_stops_at_an_empty_item(monkeypatch):
+    def stops_at_empty(text, dtype, sep):  # returns the items before the first empty one
+        items = text.split(sep) + [""]
+        return np.array([int(i) for i in items[:items.index("")]], dtype)
+
+    monkeypatch.setattr(cli.np, "fromstring", stops_at_empty)
+    for text in ("1,,2", ",3", "4,5,", "", "6,7"):
+        assert cli._atoms(text).tolist() == cli._ints(text), text
+
+
 @pytest.mark.parametrize("flag", ["--A", "--A1", "--A2", "--y"])
 @pytest.mark.parametrize("item", ["x", "1.5"])
 def test_atom_lists_refuse_a_junk_item_as_a_usage_error(tmp_path, capsys, flag, item):
