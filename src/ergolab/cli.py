@@ -9,7 +9,14 @@ time in the manifest may differ. Exit codes: 0 success, 1 domain error,
 Each action has its own sub-parser, so argparse refuses a flag the action
 does not read (exit 2) and the manifest records only the flags it reads.
 Argparse takes a list value that starts with '-' for an option, so such
-a list goes after '=': --times=-3,7.
+a list goes after '=': --times=-3,7. A run parses with one parser, not
+three: `build_parser` keeps each leaf (action) parser in `_LEAVES` under
+(subcommand,) or (subcommand, action), with subcommand, action and func
+among its defaults, and `main` looks up argv[:2], then argv[:1]. The leaf
+parses the rest, and arguments it leaves over go to the top parser's
+error, as through the tree. Any other argv (help, a missing action, an
+unknown subcommand) is parsed by the whole tree, the only parser that
+writes the top-level and middle-level help.
 
 Atom lists (tower --y, recurrence --A, --A1 and --A2) are int64 arrays from
 argv to manifest: `_atoms` parses each into one, `AtomSet` takes it without
@@ -27,12 +34,18 @@ writer, then the manifest. Three writers produce every file:
                for the list of its items (the maps of `involutions`, the
                atom lists). An array of `_LONG_ARRAY` (512) items or more
                is written from a byte table in numpy, a shorter one by
-               json's C encoder of its list, which is faster there.
-               The document is built as ASCII bytes pieces and written by
-               one writelines once all are built, so a payload json cannot
-               write (TypeError) leaves no file;
+               json's C encoder of its list, which is faster there. Each
+               depth's C encoder is built once (`_encoder`), where json
+               builds one per call; a Python without the C accelerator
+               uses JSONEncoder.encode. The document is built as ASCII
+               bytes pieces and written by one writelines once all are
+               built, so a payload json cannot write (TypeError) leaves
+               no file;
   _write_csv   a header line, then one line per row from one "%s,...,%s"
-               format string as wide as the header;
+               format string as wide as the header; a series' rows
+               (`_fraction_rows`) format each distinct Fraction object
+               once, through a memo that holds the values it has seen
+               until the rows are written;
   _write_pnm   binary netpbm with maxval 255: P5 (greyscale) from an
                (h, w) uint8 array, P6 (RGB) from an (h, w, 3) one.
 """
@@ -65,11 +78,28 @@ _CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
 @functools.cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """The C encoder that writes a container of scalars nested `depth` deep
-    as json.dumps(sort_keys=True, indent=2) does, brackets aside: its item
-    separator carries the newline and the indent of the items."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+def _encoder(depth: int):
+    """(encode, separator) for a container of scalars nested `depth` deep:
+    encode(obj) is json.dumps(obj, sort_keys=True, indent=2) there as ASCII
+    bytes, brackets aside, and the separator is its item separator, which
+    carries the newline and the indent of the items.
+
+    JSONEncoder.encode builds a new C encoder on every call, so the depth's
+    C encoder is built here once, with the arguments `iterencode` gives it,
+    less the circular-reference markers: a markers dict kept across calls
+    would keep every container whose encoding raised. Without the C
+    accelerator, encode is JSONEncoder.encode.
+    """
+    sep = ",\n" + "  " * (depth + 1)
+    enc = json.JSONEncoder(sort_keys=True, separators=(sep, ": "))
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return (lambda obj: enc.encode(obj).encode("ascii")), sep.encode("ascii")
+    # markers, default, encoder, indent, key and item separators, sort_keys,
+    # skipkeys, allow_nan
+    c_encode = make(None, enc.default, json.encoder.encode_basestring_ascii, None,
+                    ": ", sep, True, False, True)
+    return (lambda obj: "".join(c_encode(obj, 0)).encode("ascii")), sep.encode("ascii")
 
 
 def _json_key(key) -> str:
@@ -78,7 +108,7 @@ def _json_key(key) -> str:
     if isinstance(key, str):
         return key
     if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
+        return _encoder(0)[0](key).decode("ascii")
     raise TypeError(
         f"keys must be str, int, float, bool or None, not {type(key).__name__}"
     )
@@ -92,9 +122,10 @@ def _json_key(key) -> str:
 _LONG_ARRAY = 512
 
 
-def _array_body(a: np.ndarray, enc: json.JSONEncoder) -> bytes | memoryview:
-    """The items of a 1-D int64 array as `enc` writes those of its list,
-    without the brackets; TypeError for any other array, as json.dumps raises.
+def _array_body(a: np.ndarray, encode, sep: bytes) -> bytes | memoryview:
+    """The items of a 1-D int64 array as `encode` writes those of its list,
+    without the brackets, with `sep` its item separator; TypeError for any
+    other array, as json.dumps raises.
 
     A long array is read from a byte table: item i is column i, with a '-'
     or NUL sign row, one row per decimal place with the leading zeros NUL,
@@ -105,8 +136,7 @@ def _array_body(a: np.ndarray, enc: json.JSONEncoder) -> bytes | memoryview:
         raise TypeError(f"Object of type ndarray ({a.ndim}-D {a.dtype}) "
                         "is not JSON serializable")
     if a.size < _LONG_ARRAY:
-        return enc.encode(a.tolist())[1:-1].encode("ascii")
-    sep = enc.item_separator.encode("ascii")
+        return encode(a.tolist())[1:-1]
     q = np.abs(a).view(np.uint64)  # abs(-2**63) wraps to itself: 2**63 as uint64
     places = len(str(q.max()))
     if places < 10:  # the magnitudes fit uint32, which divides faster
@@ -130,20 +160,19 @@ def _json_pieces(obj, depth: int, out: list) -> None:
     is written instead by one call of `_encoder(depth)`, and the items of
     a 1-D int64 array by `_array_body`; only their brackets are added.
     """
-    enc = _encoder(depth)
-    sep = enc.item_separator.encode("ascii")
+    encode, sep = _encoder(depth)
     if isinstance(obj, np.ndarray):
-        body = _array_body(obj, enc)
+        body = _array_body(obj, encode, sep)
         if not body:
             out.append(b"[]")
             return
     elif not isinstance(obj, _CONTAINERS) or not obj:
-        out.append(enc.encode(obj).encode("ascii"))
+        out.append(encode(obj))
         return
     else:
         items = obj.values() if isinstance(obj, dict) else obj
         nested = any(issubclass(t, _CONTAINERS) for t in set(map(type, items)))
-        body = None if nested else enc.encode(obj)[1:-1].encode("ascii")
+        body = None if nested else encode(obj)[1:-1]
     brackets = b"{}" if isinstance(obj, dict) else b"[]"
     out.append(brackets[:1] + sep[1:])  # the bracket, then the first item's indent
     if body is not None:
@@ -152,7 +181,8 @@ def _json_pieces(obj, depth: int, out: list) -> None:
         for i, (k, v) in enumerate(sorted(obj.items())):
             if i:
                 out.append(sep)
-            out.append(json.dumps(_json_key(k)).encode("ascii") + b": ")
+            out.append(json.encoder.encode_basestring_ascii(_json_key(k)).encode("ascii")
+                       + b": ")
             _json_pieces(v, depth + 1, out)
     else:
         for i, v in enumerate(obj):
@@ -193,9 +223,24 @@ def _frac(v: Fraction) -> dict:
 
 
 def _fraction_rows(index: str, pairs) -> tuple:
-    """(i, value) pairs as CSV rows i, numerator, denominator."""
-    rows = ((i, v.numerator, v.denominator) for i, v in pairs)
-    return _write_csv, (index, "numerator", "denominator"), rows
+    """(i, value) pairs as CSV rows i, numerator, denominator.
+
+    A series shares one Fraction among all the times with the same value,
+    so each distinct value object is formatted once. The memo is keyed by
+    id and holds the value too, until the rows are written: an id is not
+    reused while its object lives, so a pairs iterator that makes a new
+    value per row and drops it still gets each row's own cells.
+    """
+    cells: dict[int, tuple[Fraction, str, str]] = {}
+
+    def rows():
+        for i, v in pairs:
+            cell = cells.get(id(v))
+            if cell is None:
+                cell = cells[id(v)] = (v, str(v.numerator), str(v.denominator))
+            yield i, cell[1], cell[2]
+
+    return _write_csv, (index, "numerator", "denominator"), rows()
 
 
 # argparse converters: a ValueError or ArgumentTypeError from one is a usage
@@ -430,7 +475,12 @@ def _cmd_f2(args) -> tuple:
     return _write_json, payload
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(leaves: dict) -> argparse.ArgumentParser:
+    """The parser tree: subcommand, then action where there are actions.
+    Each leaf parser, the one that reads an action's flags, is also put in
+    `leaves` under the argv words that select it, (subcommand,) or
+    (subcommand, action). Its defaults hold the whole namespace the tree
+    gives it: its flags, subcommand, action and func."""
     parser = argparse.ArgumentParser(
         prog="ergolab",
         description="finite-scale measure-preserving dynamics laboratory",
@@ -441,34 +491,33 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True)
 
-    def leaf(subs, name: str, *parents, help=None):
+    def leaf(subs, key: tuple[str, ...], func, *parents, help=None):
         """An action's parser: the flags of `parents`, then --out. A prefix
         is not taken for a flag, so entropy's --widths does not read --w."""
-        return subs.add_parser(name, parents=[*parents, out], help=help,
-                               allow_abbrev=False)
+        p = subs.add_parser(key[-1], parents=[*parents, out], help=help,
+                            allow_abbrev=False)
+        p.set_defaults(func=func, **dict(zip(("subcommand", "action"), key)))
+        leaves[key] = p
+        return p
 
-    def actions(name: str, help: str, func=None):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        return p.add_subparsers(dest="action", required=True)
+    def actions(name: str, help: str):
+        return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
 
-    p = leaf(sub, "tower", help="Rokhlin / prescribed-roof towers")
+    p = leaf(sub, ("tower",), _cmd_tower, help="Rokhlin / prescribed-roof towers")
     p.add_argument("--n", type=int, required=True, help="cycle length")
     p.add_argument("--h", dest="height", type=int, required=True, help="tower height")
     p.add_argument("--y", type=_atoms, help="atoms allowed to hold the roof: a,b,...")
-    p.set_defaults(func=_cmd_tower)
 
-    p = leaf(sub, "involutions", help="three-involution factorization")
+    p = leaf(sub, ("involutions",), _cmd_involutions, help="three-involution factorization")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--height", type=int, default=11)
     p.add_argument("--seed", type=int, help="random single cycle (default: standard)")
-    p.set_defaults(func=_cmd_involutions)
 
     acts = actions("rankone", "rank-one construction tools")
-    pa = leaf(acts, "design", help="fit spacers to interval midpoints")
+    pa = leaf(acts, ("rankone", "design"), _cmd_rankone_design,
+              help="fit spacers to interval midpoints")
     pa.add_argument("--h1", type=int, default=1)
     pa.add_argument("--intervals", type=_intervals, required=True, help="lo:hi,...")
-    pa.set_defaults(func=_cmd_rankone_design)
 
     spec = argparse.ArgumentParser(add_help=False)
     spec.add_argument("--h1", type=int, default=1)
@@ -477,14 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--intervals", type=_intervals,
                       help="lo:hi,... for --spacers auto")
 
-    pa = leaf(acts, "correlate", spec, help="exact correlation series CSV")
+    pa = leaf(acts, ("rankone", "correlate"), _cmd_rankone_correlate, spec,
+              help="exact correlation series CSV")
     pa.add_argument("--A", dest="a", type=_level_set, required=True,
                     help="'level:5,7' (levels of the spec's last explicit stage) "
                     "or 'stage:5,7'")
     pa.add_argument("--n-max", dest="n_max", type=int, required=True)
-    pa.set_defaults(func=_cmd_rankone_correlate)
 
-    pa = leaf(acts, "decompose", spec, help="signed-height decompositions")
+    pa = leaf(acts, ("rankone", "decompose"), _cmd_rankone_decompose, spec,
+              help="signed-height decompositions")
     pa.add_argument("--times", type=_ints, required=True,
                     help="comma-separated: a,b,...; --times=-3,7 if a is negative")
     pa.add_argument("--mu-num", type=int, default=1)
@@ -492,21 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--c-num", type=int, default=1)
     pa.add_argument("--c-den", type=_nonzero, default=4)
     pa.add_argument("--remainder-cap", type=int, default=0)
-    pa.set_defaults(func=_cmd_rankone_decompose)
 
-    pa = leaf(acts, "gaps", help="intervals inside gaps of a sequence")
+    pa = leaf(acts, ("rankone", "gaps"), _cmd_rankone_gaps,
+              help="intervals inside gaps of a sequence")
     pa.add_argument("--sequence", type=_ints, required=True,
                     help="increasing: a,b,...; --sequence=-3,7 if a is negative")
     pa.add_argument("--count", type=int, required=True)
-    pa.set_defaults(func=_cmd_rankone_gaps)
 
     sets = argparse.ArgumentParser(add_help=False)
     sets.add_argument("--n", type=int, required=True, help="rotation size")
     sets.add_argument("--A", dest="a", type=_atoms, required=True, help="atoms: a,b,...")
     sets.add_argument("--N", dest="horizon", type=int, required=True)
-    acts = actions("recurrence", "triple intersections and averages", _cmd_recurrence)
+    acts = actions("recurrence", "triple intersections and averages")
     for action in ("average", "witness", "profile"):
-        pa = leaf(acts, action, sets)
+        pa = leaf(acts, ("recurrence", action), _cmd_recurrence, sets)
         if action != "witness":
             pa.add_argument("--A1", dest="a1", type=_atoms)
             pa.add_argument("--A2", dest="a2", type=_atoms)
@@ -515,38 +564,38 @@ def build_parser() -> argparse.ArgumentParser:
     field.add_argument("--n", dest="width", type=int, required=True)
     field.add_argument("--m", type=int, required=True)
     field.add_argument("--seed", type=int, required=True)
-    acts = actions("ledrappier", "harmonic GF(2) fields", _cmd_ledrappier)
-    leaf(acts, "sample", field)
-    leaf(acts, "verify", field)
-    pa = leaf(acts, "trace", field)
+    acts = actions("ledrappier", "harmonic GF(2) fields")
+    leaf(acts, ("ledrappier", "sample"), _cmd_ledrappier, field)
+    leaf(acts, ("ledrappier", "verify"), _cmd_ledrappier, field)
+    pa = leaf(acts, ("ledrappier", "trace"), _cmd_ledrappier, field)
     pa.add_argument("--start", type=_point, required=True, help="x,y")
     pa.add_argument(
         "--direction", default="up", choices=["up", "down", "left", "right"]
     )
-    pa = leaf(acts, "stats", field)
+    pa = leaf(acts, ("ledrappier", "stats"), _cmd_ledrappier, field)
     pa.add_argument("--samples", type=int, default=64)
 
     board = argparse.ArgumentParser(add_help=False)
     board.add_argument("--h", dest="m", type=int, required=True, help="board height")
     board.add_argument("--k", type=int, required=True, choices=[2, 3])
     board.add_argument("--adjacency", type=int, default=8, choices=[4, 8])
-    acts = actions("mosaic", "square tilings with isolated blues", _cmd_mosaic)
+    acts = actions("mosaic", "square tilings with isolated blues")
     for action in ("generate", "count", "spin"):
-        pa = leaf(acts, action, board)
+        pa = leaf(acts, ("mosaic", action), _cmd_mosaic, board)
         pa.add_argument("--w", dest="width", type=int, required=True,
                         help="board width")
         if action != "count":
             pa.add_argument("--seed", type=int, required=True,
                             help="free-boundary output does not depend on it")
-    pa = leaf(acts, "entropy", board)
+    pa = leaf(acts, ("mosaic", "entropy"), _cmd_mosaic, board)
     pa.add_argument("--widths", type=_widths, required=True,
                     help="comma-separated widths")
 
     radius = argparse.ArgumentParser(add_help=False)
     radius.add_argument("--radius", type=int, default=2)
-    acts = actions("f2", "free-group Rokhlin families", _cmd_f2)
-    leaf(acts, "verify", radius)
-    pa = leaf(acts, "search", radius)
+    acts = actions("f2", "free-group Rokhlin families")
+    leaf(acts, ("f2", "verify"), _cmd_f2, radius)
+    pa = leaf(acts, ("f2", "search"), _cmd_f2, radius)
     pa.add_argument("--budget", type=int, default=0,
                     help=f"proposals in all; each of the {f2.RESTARTS} climbs draws "
                          f"budget // {f2.RESTARTS}, and the remainder is never drawn")
@@ -555,11 +604,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = build_parser()
+_LEAVES: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+_PARSER = build_parser(_LEAVES)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace `_PARSER.parse_args(argv)` gives, from the one leaf
+    parser that argv's first words select: argparse runs one parser level
+    instead of three. Arguments the leaf leaves over are refused by the
+    top parser, as the tree refuses them. Help, a missing action and an
+    unknown subcommand select no leaf and go through the tree."""
+    for k in (2, 1):
+        leaf = _LEAVES.get(tuple(argv[:k]))
+        if leaf is not None:
+            args, extra = leaf.parse_known_args(argv[k:])
+            if extra:
+                _PARSER.error("unrecognized arguments: %s" % " ".join(extra))
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if getattr(args, "spacers", None) == "auto" and args.intervals is None:
         _PARSER.error("--spacers auto needs --intervals")
     t0 = time.monotonic()

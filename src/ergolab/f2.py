@@ -211,15 +211,16 @@ def _family_projection(window: tuple[str, ...]):
     return weights, tags, tables
 
 
-def _side_keys(projection, masks: list[int]):
-    """Masks that avoid their own translates, with their g-side and h-side keys.
+def _side_keys(projection, masks):
+    """Masks (an int64 array or a list of ints) that avoid their own
+    translates, with their g-side and h-side keys.
 
     One batch: one byte-table row per byte of each mask, summed, gives every
     side's overlap value. A mask whose two sides agree on some pair meets its
     own translate, whatever else is in the set, so it is dropped here.
     """
     tables = projection[2]
-    arr = np.array(masks, dtype=np.int64)
+    arr = np.asarray(masks, dtype=np.int64)
     keys = tables[0][arr & 255]
     for b, table in enumerate(tables[1:], 1):
         keys += table[arr >> 8 * b & 255]
@@ -229,13 +230,34 @@ def _side_keys(projection, masks: list[int]):
     return arr[fine].tolist(), g_keys[fine].tolist(), h_keys[fine].tolist()
 
 
+def _draws(rng: random.Random, top: int, count: int) -> np.ndarray:
+    """[rng.randrange(top) for _ in range(count)] as an int64 array, for
+    1 <= top <= 2^31, from whole 32-bit outputs of the generator.
+
+    randrange(top) repeats getrandbits(k), k = top.bit_length(), until the
+    value is below top, and for k <= 32 getrandbits(k) is the top k bits of
+    one 32-bit output; getrandbits(32 m) holds m consecutive outputs, the
+    first in the lowest bits. So words are drawn in batches, shifted, and
+    kept when below top; the words drawn past the last kept value are
+    never read."""
+    shift = 32 - top.bit_length()
+    kept = np.empty(0, np.uint32)
+    while kept.size < count:
+        m = 2 * (count - kept.size) + 16  # at least half the words are kept
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        words = words >> shift
+        kept = np.concatenate([kept, words[words < top]])
+    return kept[:count].astype(np.int64)
+
+
 def _climb(projection, start: frozenset[int], budget: int, seed: int):
     """Greedy set of masks: the start masks in order, then `budget` seeded
-    draws over the window; a mask joins when no member's g side shares a key
-    with its h side and no member's h side shares a key with its g side."""
-    rng = random.Random(seed)
+    draws over the window (`_draws`); a mask joins when no member's g side
+    shares a key with its h side and no member's h side shares a key with
+    its g side."""
     top = 1 << len(projection[0])
-    masks = sorted(start) + [rng.randrange(top) for _ in range(budget)]
+    masks = np.concatenate([np.array(sorted(start), np.int64),
+                            _draws(random.Random(seed), top, budget)])
     members: set[int] = set()
     g_seen: set[int] = set()
     h_seen: set[int] = set()

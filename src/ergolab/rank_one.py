@@ -54,6 +54,7 @@ two consecutive stages are no certificate: for RankOneSpec(2, (3, 1, 3, 5,
 from __future__ import annotations
 
 import operator
+import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -297,8 +298,9 @@ def correlation_series(
     first far step (see `_near_steps`): the later steps only double D on
     [0, n_max], and the doublings are folded into the denominator. Counts
     are at most the grown set's size, so int64 is exact for any array that
-    fits in memory. A negative n_max raises ValueError, as does a clamped
-    span of 2^63 levels or more.
+    fits in memory. A negative n_max raises ValueError, as do a clamped
+    span of 2^63 levels or more and then an n_max of sys.maxsize or more,
+    whose n_max + 1 times no sequence length can count.
     No two levels of the grown set S differ by more than its span, so
     D(n) = 0 for every n past it: the counts, and the stored values, run
     only through min(span, n_max), and every later time reads one shared
@@ -330,6 +332,8 @@ def correlation_series(
         counts = _grown_differences(np.array(offsets, dtype=np.int64), steps, n_max)[
             : n_max + 1
         ]
+    if n_max >= sys.maxsize:  # the pair view's length n_max + 1 is a Py_ssize_t
+        raise ValueError(f"n_max must be below {sys.maxsize}: a series holds n_max + 1 times")
     # the level width at A's stage, halved at each near step; the far steps
     # double every count and halve the width, which leaves the values alone
     den = 2 ** (a.stage - 1 + len(steps))

@@ -822,3 +822,236 @@ def test_stats_samples_default_to_64(tmp_path):
     assert outs["default"] == outs["64"]
     assert json.loads(outs["64"])["max_len"] == 12
     assert json.loads(outs["65"])["max_len"] == 14
+
+
+def _same_namespace(got, want) -> bool:
+    """vars of two namespaces equal, with arrays compared by dtype and value."""
+    got, want = vars(got), vars(want)
+    if got.keys() != want.keys():
+        return False
+    for k, v in want.items():
+        w = got[k]
+        if isinstance(v, np.ndarray) or isinstance(w, np.ndarray):
+            if type(v) is not type(w) or v.dtype != w.dtype or not np.array_equal(v, w):
+                return False
+        elif type(v) is not type(w) or v != w:
+            return False
+    return True
+
+
+def _cli_mix_argvs(monkeypatch, seed: int) -> list[list[str]]:
+    """The argvs of the benchmark's `cli-mix` jobs for `seed`, recorded
+    without running them."""
+    from pathlib import Path
+
+    import ergolab
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    argvs = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "main", lambda argv: argvs.append(list(argv)) or 0)
+        for job in workloads.build("cli-mix", seed, ergolab, "out"):
+            job.run()
+    return argvs
+
+
+def test_leaf_dispatch_gives_the_namespace_of_the_parser_tree(monkeypatch):
+    import test_cli_digests
+
+    argvs = [p[0].split() + ["--out", "x"] for p in test_cli_digests.PINNED]
+    for seed in (1, 5, 12):
+        argvs += _cli_mix_argvs(monkeypatch, seed)
+    assert len(argvs) > 64 + 3 * 100
+    want = [cli._PARSER.parse_args(argv) for argv in argvs]
+
+    def tree(argv):
+        raise AssertionError(f"the parser tree parsed {argv}")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", tree)  # every run here takes its leaf
+    for argv, namespace in zip(argvs, want):
+        assert _same_namespace(cli._parse(argv), namespace), argv
+
+
+def test_main_reads_sys_argv_without_the_program_name(tmp_path, monkeypatch):
+    argv = ["tower", "--n", "12", "--h", "5"]
+    assert main(argv + ["--out", str(tmp_path / "given.json")]) == 0
+    monkeypatch.setattr("sys.argv", ["ergolab", *argv, "--out", str(tmp_path / "argv.json")])
+    assert main() == 0
+    assert (tmp_path / "argv.json").read_bytes() == (tmp_path / "given.json").read_bytes()
+
+
+def _outcome(parse, argv, capsys):
+    """(exit code or None, stdout, stderr, namespace or None) of one parse."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        code, args = exc.code, None
+    else:
+        code = None
+    out, err = capsys.readouterr()
+    return code, out, err, args
+
+
+def test_leaf_dispatch_writes_the_usage_errors_and_help_of_the_parser_tree(capsys):
+    correlate = ["rankone", "correlate", "--n-max", "5"]
+    trace = ["ledrappier", "trace", "--n", "8", "--m", "8", "--seed", "1"]
+    board = ["--h", "4", "--k", "2"]
+    argvs = [
+        ["tower", "--n", "12"],
+        ["tower", "--n", "12", "--h", "3", "--bogus", "1"],
+        ["f2", "search", "--radius", "2"],
+        ["nonsense"],
+        *(trace + ["--start", *bad] for bad in (["1"], ["1,2,3"],
+                                                 ["1,2", "--direction", "sideways"])),
+        *(["rankone", "decompose", "--spacers", "1,1", "--times", "3", den, "0"]
+          for den in ("--mu-den", "--c-den")),
+        ["tower", "--n", "12", "--h", "3", "--y", "1,x"],
+        ["recurrence", "average", "--n", "5", "--A", "a", "--N", "3"],
+        ["recurrence", "profile", "--n", "5", "--A", "0", "--A1", "0,b", "--N", "3"],
+        ["recurrence", "witness", "--n", "5", "--A", "0", "--A2", "1.5", "--N", "3"],
+        ["rankone", "gaps", "--sequence", "1,x", "--count", "1"],
+        ["rankone", "decompose", "--spacers", "1,1", "--times", "3,t"],
+        ["mosaic", "entropy", "--widths", "2,q", *board],
+        ["rankone", "design", "--intervals", "1-5"],
+        ["rankone", "decompose", "--intervals", "1:5,7", "--times", "3"],
+        correlate + ["--spacers", "1,two", "--A", "2:0"],
+        correlate + ["--spacers", "1,1", "--A", "level"],
+        correlate + ["--spacers", "1,1", "--A", "s:0"],
+        correlate + ["--spacers", "1,1", "--A", "level:0,x"],
+        trace + ["--start", "1,y"],
+        trace,
+        ["mosaic", "generate", "--w", "4", *board],
+        ["mosaic", "spin", "--w", "4", *board],
+        ["mosaic", "count", *board],
+        ["mosaic", "spin", *board, "--seed", "1"],
+        ["mosaic", "entropy", *board],
+        ["mosaic", "entropy", "--widths", ",", *board],
+        ["mosaic", "count", "--w", "4", *board, "--seed", "3"],
+        ["f2", "verify", "--budget", "9"],
+        ["f2", "verify", "--seed", "1"],
+        ["recurrence", "witness", "--n", "5", "--A", "0", "--A1", "1", "--N", "3"],
+        ["ledrappier", "sample", "--n", "8", "--m", "8", "--seed", "1", "--samples", "3"],
+        ["mosaic", "entropy", "--widths", "2", "--w", "5", *board],
+        ["tower", "stray", "--n", "12", "--h", "3"],  # a positional no parser reads
+        ["tower", "--n", "12", "--h", "3", "stray", "more"],
+        [],
+        ["rankone"],
+        ["rankone", "bogus"],
+        ["rankone", "correlate", "-h"],
+        ["tower", "--help"],
+        ["rankone", "-h"],
+        ["-h"],
+    ]
+    for argv in argvs:
+        for tail in ([], ["--out", "x"]):
+            got = _outcome(cli._parse, argv + tail, capsys)
+            want = _outcome(cli._PARSER.parse_args, argv + tail, capsys)
+            assert got[:3] == want[:3], argv + tail
+            assert want[0] in (0, 2), argv + tail
+            assert want[1 + (want[0] == 2)] != "", argv + tail  # help on stdout, errors on stderr
+    capsys.readouterr()
+    # through main: the top parser refuses what a leaf leaves over
+    for argv, usage in (
+        ([], "usage: ergolab [-h]"),
+        (["rankone"], "usage: ergolab rankone [-h]"),
+        (["tower", "stray", "--n", "1", "--h", "1", "--out", "x"], "usage: ergolab [-h]"),
+        (["mosaic", "count", "--w", "4", *board, "--seed", "3", "--out", "x"],
+         "usage: ergolab [-h]"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(usage), argv
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+def test_json_writer_matches_json_dumps_with_and_without_the_c_encoder(
+        tmp_path, monkeypatch, accelerated):
+    leaves = [0, -3, 2**80, 1.5, -0.0, 1e-300, float("inf"), float("nan"), True, False,
+              None, "", "plain", "é ü ✓  ", "\x00\x1f\"\\/", [], {}, ()]
+    payloads = [*leaves,
+                {0: 1, -2: 3, 10: [4]}, {1.25: "f", 0.5: {}, float("-inf"): None},
+                {None: [None]}, {True: 1, False: [2]}, {"é": "ü", "z": ["✓"]}, list(leaves),
+                dict(zip(map(str, range(len(leaves))), leaves))]
+    nested = payloads[-2:]
+    for _ in range(3):  # depths 1 to 3 below the top
+        nested = [nested, {"n": nested[0], "m": [nested[1], ()], "e": {}}]
+        payloads += nested
+    payloads.append(np.arange(-700, 700, 3, dtype=np.int64))
+    payloads.append({"a": [np.arange(5, dtype=np.int64), np.arange(600, dtype=np.int64)]})
+    expected = [reference_json(payload).encode("ascii") for payload in payloads]
+
+    def refused(self, obj):
+        raise AssertionError("JSONEncoder.encode called")
+
+    cli._encoder.cache_clear()
+    # the C encoder alone writes, or JSONEncoder.encode where there is none
+    if accelerated:
+        monkeypatch.setattr(json.JSONEncoder, "encode", refused)
+    else:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    try:
+        for i, (payload, want) in enumerate(zip(payloads, expected)):
+            path = tmp_path / f"{i}.json"
+            cli._write_json(str(path), payload)
+            assert path.read_bytes() == want, payload
+        # a payload json cannot write raises TypeError, writes no file and
+        # is not kept: the reused encoders keep no container they met
+        import gc
+        import weakref
+
+        class Opaque:
+            pass
+
+        def write_unserializable(path):
+            item = Opaque()
+            with pytest.raises(TypeError):
+                cli._write_json(str(path), [1, item])
+            return weakref.ref(item)
+
+        for depth in range(3):
+            path = tmp_path / f"bad{depth}.json"
+            ref = write_unserializable(path)
+            gc.collect()
+            assert ref() is None and not path.exists()
+    finally:
+        cli._encoder.cache_clear()
+
+
+def test_fraction_rows_format_each_row_from_its_own_value(tmp_path):
+    """A pairs iterator may make a new Fraction per row and drop it, so
+    a later value can take a dropped one's id."""
+    def fresh():
+        for i in range(300):
+            yield i, Fraction(i % 17, 19)
+
+    path = tmp_path / "rows.csv"
+    write, header, rows = cli._fraction_rows("n", fresh())
+    write(str(path), header, rows)
+    want = [f"{i},{Fraction(i % 17, 19).numerator},{Fraction(i % 17, 19).denominator}"
+            for i in range(300)]
+    assert path.read_text().splitlines() == ["n,numerator,denominator", *want]
+    # shared values are formatted once and still read as their own
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    write, header, rows = cli._fraction_rows("i", [(1, half), (2, third), (3, half)])
+    write(str(path), header, rows)
+    assert path.read_text() == "i,numerator,denominator\n1,1,2\n2,1,3\n3,1,2\n"
+
+
+def test_correlate_refuses_a_horizon_whose_times_no_length_counts(tmp_path, capsys, monkeypatch):
+    import sys
+
+    argv = ["rankone", "correlate", "--spacers", "1,1", "--A", "2:"]
+    out = tmp_path / "c.csv"
+    assert run(argv + ["--n-max", str(sys.maxsize), "--out", str(out)]) == 1
+    assert f"n_max must be below {sys.maxsize}" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "c.csv.manifest.json").exists()
+    # one time fewer is taken: the writer reads the first rows of 2^63 - 1
+    heads = []
+    monkeypatch.setattr(cli, "_write_csv", lambda path, header, rows: heads.append(
+        [header, *(next(rows) for _ in range(3))]))
+    assert run(argv + ["--n-max", str(sys.maxsize - 1), "--out", str(out)]) == 0
+    assert heads == [[("n", "numerator", "denominator"),
+                      (0, "0", "1"), (1, "0", "1"), (2, "0", "1")]]

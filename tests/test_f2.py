@@ -448,3 +448,24 @@ def test_disjoint_takes_a_merged_window_of_64_words_and_refuses_65():
         f2.disjoint(left, past)
     with pytest.raises(CapExceeded, match="merged window of 65 words"):
         f2.disjoint(f2.CylinderPatternSet(left.window, frozenset()), past)
+
+
+def test_batched_draws_are_the_randrange_draws():
+    for seed in range(200):
+        for top in (1, 2, 3, 2**17, 2**31):
+            for count in (0, 1, 750, 10**4) if seed % 20 == 0 else (0, 1, 750):
+                rng, ref = random.Random(seed), random.Random(seed)
+                got = f2._draws(rng, top, count)
+                assert got.dtype == np.int64
+                assert got.tolist() == [ref.randrange(top) for _ in range(count)], (seed, top)
+
+
+def test_search_is_unchanged_by_the_batched_draws(monkeypatch):
+    batched = {}
+    for seed in range(30):
+        for budget in (0, 1, 2, 3, 4, 5, 100, 3000, 3001):
+            batched[seed, budget] = f2.search_best(2, budget, seed)
+    monkeypatch.setattr(f2, "_draws", lambda rng, top, count: np.array(
+        [rng.randrange(top) for _ in range(count)], dtype=np.int64))
+    for (seed, budget), cert in batched.items():
+        assert f2.search_best(2, budget, seed) == cert, (seed, budget)

@@ -1298,3 +1298,18 @@ def test_grown_pairs_past_one_block_match_pointwise_queries(monkeypatch):
     for n in [*range(0, n_max + 1, 97), 1, 5000]:
         assert series.value(n) == r1.correlation(spec, a, n, stage), n
     assert sum(v != 0 for _, v in series.entries) > 2
+
+
+def test_series_refuses_a_horizon_its_pair_view_cannot_count():
+    import sys
+
+    spec, a = r1.RankOneSpec(1, (1, 1)), r1.LevelSet(2, frozenset())
+    series = r1.correlation_series(spec, a, sys.maxsize - 1)
+    assert len(series.entries) == sys.maxsize
+    assert series.entries[-1] == (sys.maxsize - 1, 0)
+    for n_max in (sys.maxsize, sys.maxsize + 1, 2**64):
+        with pytest.raises(ValueError, match=f"n_max must be below {sys.maxsize}"):
+            r1.correlation_series(spec, a, n_max)
+    # a set with levels is refused too, here already by its clamped span
+    with pytest.raises(ValueError, match="clamped level set spans 2\\^63 levels"):
+        r1.correlation_series(spec, r1.LevelSet(2, frozenset([0, 2])), sys.maxsize)

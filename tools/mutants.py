@@ -118,7 +118,8 @@ def mutate(source: str, site: Site) -> str:
 
 
 def copy_checkout(dest: Path) -> None:
-    for name in COPIED:
+    """The files Tier-1 reads, the committed BENCH_*.json among them."""
+    for name in (*COPIED, *sorted(p.name for p in ROOT.glob("BENCH_*.json"))):
         src = ROOT / name
         if src.is_dir():
             shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__", "_out"))
