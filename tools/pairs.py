@@ -18,7 +18,7 @@ how many pairs the change wins (reads better, by the metric's direction
 in BENCHMARK.json), and whether the change's median is within the metric's
 bound of the parent's. Every run is kept in `runs_in_order`, with its
 failed and attempted job counts. The file is rewritten after each run, so
-an interrupted session leaves the pairs it finished.
+an interrupted run of the tool leaves the pairs it finished.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     by_pair = {(r["seed"], r["side"]): r for r in runs}
     pairs = [s for s in seeds if all((s, side) in by_pair for side in SIDES)]
     out = {
-        "seeds": f"{seeds[0]}-{seeds[-1]}" if seeds else "",
+        "seeds": f"{seeds[0]}-{seeds[-1]}",
         "pairs": len(pairs),
         "failed_of_attempted": {
             side: [f"{r['failed']} of {r['attempted']}" for r in runs if r["side"] == side]
