@@ -42,10 +42,11 @@ writer, then the manifest. Three writers produce every file:
                built, so a payload json cannot write (TypeError) leaves
                no file;
   _write_csv   a header line, then one line per row from one "%s,...,%s"
-               format string as wide as the header; a series' rows
-               (`_fraction_rows`) format each distinct Fraction object
-               once, through a memo that holds the values it has seen
-               until the rows are written;
+               format string as wide as the header; a correlation
+               series' rows (`_shared_fraction_rows`) format each
+               distinct Fraction object once, through a memo that holds
+               the values it has seen until the rows are written, since
+               the series shares one value among many times;
   _write_pnm   binary netpbm with maxval 255: P5 (greyscale) from an
                (h, w) uint8 array, P6 (RGB) from an (h, w, 3) one.
 """
@@ -223,13 +224,19 @@ def _frac(v: Fraction) -> dict:
 
 
 def _fraction_rows(index: str, pairs) -> tuple:
-    """(i, value) pairs as CSV rows i, numerator, denominator.
+    """(i, value) pairs as CSV rows i, numerator, denominator."""
+    rows = ((i, v.numerator, v.denominator) for i, v in pairs)
+    return _write_csv, (index, "numerator", "denominator"), rows
 
-    A series shares one Fraction among all the times with the same value,
-    so each distinct value object is formatted once. The memo is keyed by
-    id and holds the value too, until the rows are written: an id is not
-    reused while its object lives, so a pairs iterator that makes a new
-    value per row and drops it still gets each row's own cells.
+
+def _shared_fraction_rows(index: str, pairs) -> tuple:
+    """`_fraction_rows` for pairs that share their values.
+
+    A correlation series shares one Fraction among all the times with the
+    same value, so each distinct value object is formatted once. The memo
+    is keyed by id and holds the value too, until the rows are written: an
+    id is not reused while its object lives, so a pairs iterator that makes
+    a new value per row and drops it still gets each row's own cells.
     """
     cells: dict[int, tuple[Fraction, str, str]] = {}
 
@@ -373,7 +380,7 @@ def _cmd_rankone_correlate(args) -> tuple:
         spec.max_stage if stage is None else stage, frozenset(args.a["levels"])
     )
     series = r1.correlation_series(spec, a, args.n_max)
-    return _fraction_rows("n", series.entries)
+    return _shared_fraction_rows("n", series.entries)
 
 
 def _cmd_rankone_decompose(args) -> tuple:

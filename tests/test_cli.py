@@ -1028,16 +1028,17 @@ def test_fraction_rows_format_each_row_from_its_own_value(tmp_path):
             yield i, Fraction(i % 17, 19)
 
     path = tmp_path / "rows.csv"
-    write, header, rows = cli._fraction_rows("n", fresh())
-    write(str(path), header, rows)
     want = [f"{i},{Fraction(i % 17, 19).numerator},{Fraction(i % 17, 19).denominator}"
             for i in range(300)]
-    assert path.read_text().splitlines() == ["n,numerator,denominator", *want]
-    # shared values are formatted once and still read as their own
     half, third = Fraction(1, 2), Fraction(1, 3)
-    write, header, rows = cli._fraction_rows("i", [(1, half), (2, third), (3, half)])
-    write(str(path), header, rows)
-    assert path.read_text() == "i,numerator,denominator\n1,1,2\n2,1,3\n3,1,2\n"
+    for fraction_rows in (cli._fraction_rows, cli._shared_fraction_rows):
+        write, header, rows = fraction_rows("n", fresh())
+        write(str(path), header, rows)
+        assert path.read_text().splitlines() == ["n,numerator,denominator", *want]
+        # shared values are formatted once and still read as their own
+        write, header, rows = fraction_rows("i", [(1, half), (2, third), (3, half)])
+        write(str(path), header, rows)
+        assert path.read_text() == "i,numerator,denominator\n1,1,2\n2,1,3\n3,1,2\n"
 
 
 def test_correlate_refuses_a_horizon_whose_times_no_length_counts(tmp_path, capsys, monkeypatch):

@@ -4,12 +4,13 @@
 
 PARENT and CHANGE are each a git revision of this repository, taken with
 `git archive`, or a directory holding a source tree (see `tools/cli_diff.py`).
-For each workload of BENCHMARK.json, in its order, pair i runs
-`perfbench/run.py --workload W --seed S --seconds T --trace 0` once on each
-side, from that side's own tree and one run at a time; the parent runs
-first in even pairs (0, 2, ...) and the change first in odd ones. Workload
-k's pairs take the seeds SEED + k * PAIRS + i. The benchmark is run as it
-is in each tree and never changed.
+For each workload of BENCHMARK.json, in its order, each of PAIRS (10) pairs
+runs `perfbench/run.py --workload W --seed S --seconds T --trace 0` once on
+each side, with T the run_seconds of BENCHMARK.json, from that side's own
+tree and one run at a time; the parent runs first in even pairs (0, 2, ...)
+and the change first in odd ones. Workload k's pair i takes the seed
+SEED + k * PAIRS + i. The benchmark is run as it is in each tree and never
+changed.
 
 Per workload and end-to-end metric the output holds each side's median
 and quartiles (inclusive method), the change's median against the
@@ -37,6 +38,7 @@ import numpy as np
 from cli_diff import ROOT, source_tree
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def _bench() -> dict:
@@ -137,22 +139,21 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="git revision or source tree")
     parser.add_argument("--seed", type=int, required=True, help="first seed")
     parser.add_argument("--out", required=True, help="the BENCH_*.json to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]),
                         help="comma-separated, in the order they run")
     parser.add_argument("--claim", default="none", help="the gain the change claims")
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
+    seconds = bench["run_seconds"]
     doc = {
         "command": f"python3 perfbench/run.py --workload W --seed N "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "parent": _revision(args.parent),
         "change": _revision(args.change),
         "machine": f"{os.cpu_count()} cores, {platform.processor() or platform.machine()}, "
                    f"Python {platform.python_version()}, numpy {np.__version__}",
-        "method": f"tools/pairs.py: {args.pairs} pairs per workload, workload k on seeds "
-                  f"{args.seed} + k * {args.pairs} + i; the parent runs first in even "
+        "method": f"tools/pairs.py: {PAIRS} pairs per workload, workload k on seeds "
+                  f"{args.seed} + k * {PAIRS} + i; the parent runs first in even "
                   "pairs, the change in odd ones; each side runs from its own tree, one "
                   "run at a time; median and quartiles (inclusive method) per side; "
                   "change_wins_of_pairs counts the pairs where the change reads better; "
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: source_tree(rev, Path(tmp) / side)
                  for side, rev in zip(SIDES, (args.parent, args.change))}
-        measure(trees, workloads, args.seed, args.pairs, args.seconds, record)
+        measure(trees, workloads, args.seed, PAIRS, seconds, record)
     return 0
 
 
